@@ -58,7 +58,9 @@ to the serial output, and all of them share the on-disk cure cache
 
 The exit status of ``run`` is the program's exit status; memory-safety
 failures exit with status 99 after printing the check that fired,
-mirroring how a cured binary aborts with a check message.
+mirroring how a cured binary aborts with a check message, and an
+interpreter limit (step budget, output size, call depth) exits with
+98.  Either way the output printed before the stop comes first.
 """
 
 from __future__ import annotations
@@ -71,10 +73,13 @@ from repro.core import CureOptions, cure
 from repro.core.options import OPTIMIZE_LEVELS
 from repro.frontend import parse_program
 from repro.interp import ENGINES, run_cured, run_raw
-from repro.runtime.checks import (MemorySafetyError, ProgramAbort,
+from repro.runtime.checks import (InterpreterLimitError,
+                                  MemorySafetyError, ProgramAbort,
                                   SegmentationFault)
 
 SAFETY_EXIT = 99
+#: the run hit an interpreter limit (steps, stdout size, call depth)
+LIMIT_EXIT = 98
 
 
 def _read_source(path: str) -> str:
@@ -228,25 +233,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             result = run_cured(cured, args=args.args, stdin=stdin,
                                engine=args.engine,
                                reuse_freed=args.reuse_freed)
-    except MemorySafetyError as exc:
-        print(result_stdout_of(exc), end="")
+    except (MemorySafetyError, SegmentationFault, ProgramAbort,
+            InterpreterLimitError) as exc:
+        # the output the program printed before it stopped
+        sys.stdout.write(getattr(exc, "stdout", ""))
         print(f"[{type(exc).__name__}] {exc}", file=sys.stderr)
         _print_blame(exc)
-        return SAFETY_EXIT
-    except (SegmentationFault, ProgramAbort) as exc:
-        print(f"[{type(exc).__name__}] {exc}", file=sys.stderr)
+        if isinstance(exc, InterpreterLimitError):
+            return LIMIT_EXIT
         return SAFETY_EXIT
     sys.stdout.write(result.stdout)
     if args.stats:
         print(f"[exit {result.status}; {result.steps} steps; "
               f"{result.cost.total} cycles]", file=sys.stderr)
     return result.status
-
-
-def result_stdout_of(exc: BaseException) -> str:
-    # Output produced before the failing check is not tracked on the
-    # exception; keep the hook for future use.
-    return ""
 
 
 def _print_blame(exc: BaseException) -> None:
@@ -418,12 +418,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print("lint: give a FILE, --workload NAME[,NAME...] or "
                   "--all-workloads", file=sys.stderr)
             return 2
-        # parse_program appends ".c" to the unit name, so strip a
-        # trailing ".c" to keep reported file names exact
-        unit = (args.file[:-2] if args.file.endswith(".c")
-                else args.file)
         reports.append(lint_source(
-            _read_source(args.file), name=unit,
+            _read_source(args.file), name=args.file,
             optimize=optimize, temporal=args.temporal,
             include_dirs=args.include or None))
     if args.format == "json":

@@ -20,8 +20,11 @@ __all__ = ["parse_program", "parse_files", "Lowerer",
 def parse_program(source: str, name: str = "program",
                   include_dirs: Optional[Sequence[str]] = None,
                   defines: Optional[Mapping[str, str]] = None) -> Program:
-    """Parse one C source text into a lowered whole program."""
-    return parse_files([(name + ".c", source)], name=name,
+    """Parse one C source text into a lowered whole program.  ``name``
+    names the program; diagnostics name the file ``name``, with ``.c``
+    appended when it lacks it."""
+    filename = name if name.endswith(".c") else name + ".c"
+    return parse_files([(filename, source)], name=name,
                        include_dirs=include_dirs, defines=defines)
 
 

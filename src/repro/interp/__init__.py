@@ -1,7 +1,8 @@
 """The CIL interpreter: cured and raw execution modes.
 
-Two engines share the abstract machine: the closure compiler
-(:mod:`repro.interp.compile`, default) and the tree walker (the
+Two engines share the abstract machine: one generated Python function
+per C function (:mod:`repro.interp.compile`, the default, named
+"closures" after its predecessor) and the tree walker (the
 differential-testing oracle).  Select with ``engine="closures"|"tree"``.
 """
 

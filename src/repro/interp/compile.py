@@ -1,238 +1,208 @@
-"""Closure compilation of CIL to nested Python closures.
+"""Whole-function code generation: the closures engine.
 
 The tree-walking interpreter (:mod:`repro.interp.interp`) re-discovers
 the shape of every statement, expression and type on every execution
-step: ``isinstance`` chains, dispatch-dict lookups, offset walks and
-type unrolling all happen *per step*.  Since the interpreter is also
-the measurement instrument, that overhead bounds how much experiment
-the suite can afford.
+step.  Since the interpreter is also the measurement instrument, that
+overhead bounds how much experiment the suite can afford.
 
 This module walks each :class:`~repro.cil.stmt.Fundec` **once** and
-emits one Python closure per statement, instruction, lvalue and
-expression.  Everything static is resolved at compile time:
+emits the source of **one Python function** for it:
 
-* expression dispatch (one closure per node, no dict lookup),
-* lvalue shape (register vs. home, constant field offsets folded,
-  element sizes precomputed),
-* scalar type facts (sizes, signedness, wrap masks),
-* pointer-kind representation costs (wide/split charges become
-  precomputed constants),
-* check kinds (one specialized closure per ``Check`` instruction).
+* register variables (scalar, not address-taken formals and locals)
+  are Python locals; formals arrive in the argument list;
+* a C ``Loop`` is a ``while True`` with native ``break`` and
+  ``continue`` (a ``continue`` first runs the statements the loop marks
+  as ``continue_runs_trailing``, the for-post and do-while test), and
+  ``return`` is a real ``return``;
+* everything static is resolved once: lvalue shapes, constant field
+  offsets, element sizes, wrap masks, pointer representation charges,
+  check kinds;
+* every expression carries a static value class (an exact ``int`` in a
+  type's range, a float, a fat pointer, or unknown), so operand class
+  tests and store coercions are emitted only where the class is not
+  known.  Register locals are always stored coerced, so their class is
+  their type's; formals hold the raw argument and stay unknown.
 
-For the hottest node shapes the compiler goes one step further and
-*generates Python source* for the whole statement — operand fetches
-(``f.regs[vid]`` for register variables, the literal for constants),
-store coercion, home lookup, constant offsets and the typed memory
-access are all fused into a single ``exec``-compiled function, so a
-``x = y + z`` statement executes as one Python frame instead of six
-nested closure calls.  Generated sources keep all varying quantities
-(vids, masks, sizes) in the function's globals, so the small set of
-distinct source *shapes* hits a module-level code-object cache and
-compilation stays cheap.
+Steps, cycles, instructions and memory accesses accumulate in the
+locals ``st``/``cy``/``ni``/``nm``.  They flush to ``ip``/``ip.cost``
+in the function's ``finally``, and before anything outside the function
+runs: a call (C function, libc, wrapper; see ``_call``) or a shadow-tool
+hook (in the shadowed mode, which runs a hook per instruction and
+access, charges go straight to ``ip.cost``).  The step budget compares
+``st`` with a local copy of ``ip._limit_at``, once for steps taken with
+nothing run between them (a block and its first statement); its slow
+path (``_ovl``) replays them one by one, storing ``ip.steps`` before
+``ip._over_limit`` reads it.  Within one statement the cost-model
+charges are summed here and emitted just before the next operation that
+can raise, so a run that traps or runs out of budget has charged
+exactly what the tree walker had charged at that point.
 
-The closures are compiled per ``cured`` mode and parameterized over
-``(ip, frame)`` so one compilation is shared by every
-:class:`~repro.interp.interp.Interpreter` over the same tree.  The
-compiled code replicates the tree-walker's cost-model charges, step
-counting and error behaviour exactly — the differential test in
-``tests/test_engine_parity.py`` asserts bit-identical
-``(status, stdout, cycles, steps)`` on every workload, which is what
-licenses using the fast engine for the paper's measurements.
+Every expression string the generator returns is *pure*: it cannot
+raise, charge, observe or change anything.  Whatever can (memory
+access, the slow path of an operand shape the static classes do not
+cover, helpers with effects) becomes a statement into a temporary, in
+the tree walker's evaluation order.  Uncommon shapes call shared
+helpers, most of them the tree walker's own methods (``_coerce_store``,
+``_check_value``, ``_read_mem``, ...), so they are exact by
+construction.  A statement that would pass Python's static nesting
+limits is hoisted into a nested generated function that shares the
+enclosing function's locals.
 
-The cache is a :class:`weakref.WeakKeyDictionary` keyed by ``Fundec``
-so compiled code never outlives its tree and ``copy.deepcopy`` of a
-program (the bench harness's cache discipline) never drags closures
-bound to the original tree into the copy.
+``tests/test_engine_parity.py`` asserts bit-identical ``(status,
+stdout, cycles, steps)`` against the tree walker on every workload, and
+``tests/test_budget_exactness.py`` the state at step-budget cuts, which
+is what licenses using this engine for the paper's measurements.
+Functions are generated per mode (cured, shadowed, counting site hits)
+on their first call and cached weakly per ``Fundec``, so generated code
+never outlives its tree.  Code objects are shared by source digest
+through a small LRU; vids and site ids live in the function's globals,
+not its source, so the unchanged functions of fault variants reuse
+them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import weakref
+from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.cil import expr as E
 from repro.cil import stmt as S
 from repro.cil import types as T
 from repro.core.qualifiers import PointerKind
-from repro.runtime.checks import (BoundsError, DanglingPointerError,
-                                  InterpreterLimitError, LinkError,
-                                  MemorySafetyError,
-                                  NullDereferenceError, ProgramAbort,
-                                  WildTagError)
+from repro.runtime.checks import (LinkError, MemorySafetyError,
+                                  NullDereferenceError, ProgramAbort)
 from repro.runtime.cost import (CHECK_COSTS, COST_MEM_WORD,
                                 COST_SPLIT_META, COST_WILD_TAG_UPDATE,
                                 WIDE_EXTRA_WORDS, mem_words)
 from repro.runtime.memory import PtrMeta
 from repro.runtime.values import PtrVal
+from repro.interp.interp import (REG_ADDR_MSG, _NO_ARG_CHECKS, Frame,
+                                 Interpreter, _Break, _Continue, _CMP_OPS,
+                                 _FLOAT_OPS, _INT_OPS, _is_register_type)
 
-# The compiled closures raise the same control-flow exceptions as the
-# tree walker, so the two engines can call into each other (e.g. a
-# compiled Call dispatching into a builtin that calls back).
-from repro.interp.interp import (_Break, _Continue, _Return,
-                                 _CMP_OPS, _FLOAT_OPS, _INT_OPS,
-                                 _is_register_type)
-
-#: compiled bodies per Fundec, keyed by the ``cured`` flag.  Weak keys:
-#: a deep-copied tree compiles fresh, and dropped trees free their code.
-_CACHE: "weakref.WeakKeyDictionary[S.Fundec, dict[bool, Callable]]" = \
+#: generated functions per Fundec, keyed by mode.  Weak keys: a
+#: deep-copied tree generates afresh, a dropped tree frees its code.
+_CACHE: "weakref.WeakKeyDictionary[S.Fundec, dict]" = \
     weakref.WeakKeyDictionary()
 
-_STEP_MSG = "step budget exceeded"
+#: code objects by source digest, least recently used first; bounded, so
+#: a code object outlives its last tree by at most this many functions
+_CODE: "OrderedDict[bytes, object]" = OrderedDict()
+_CODE_KEEP = 256
+
+#: nesting at which a statement is hoisted into a nested function:
+#: Python allows 100 indentation levels and 20 nested blocks (loops and
+#: try); a check's try adds one block inside the innermost loop.  An
+#: expression past _MAX_PARENS parentheses is bound to a temporary (the
+#: parser allows 200).
+_MAX_INDENT = 64
+_MAX_BLOCKS = 16
+_MAX_PARENS = 40
 
 
-def compiled_body(fd: S.Fundec, cured: bool) -> Callable:
-    """The compiled body runner ``(ip, frame) -> None`` for ``fd``,
-    compiling on first use."""
+def compiled_function(fd: S.Fundec, mode: tuple[bool, bool, bool]
+                      ) -> Callable:
+    """The generated ``run(ip, fd, args) -> return value`` of ``fd`` for
+    ``mode`` = ``(cured, shadowed, counting site hits)``: binds the
+    frame, runs the body, pops the frame.  Generated on first use.
+    ``fd`` comes in as an argument: the generated code must not hold
+    its own weak key."""
     per_fd = _CACHE.get(fd)
     if per_fd is None:
-        per_fd = {}
-        _CACHE[fd] = per_fd
-    fn = per_fd.get(cured)
+        per_fd = _CACHE[fd] = {}
+    fn = per_fd.get(mode)
     if fn is None:
-        fn = _Compiler(cured).block_body(fd.body)
-        per_fd[cured] = fn
+        src, env = _Gen(fd, *mode).source()
+        fn = per_fd[mode] = _load(src, env)
     return fn
 
 
-# ---------------------------------------------------------------------------
-# Source generation
-# ---------------------------------------------------------------------------
-#
-# Generated sources keep vids/masks/sizes in the function's globals (the
-# ``env`` dict), never in the source text, so distinct nodes of the same
-# *shape* share one code object.
-
-_CODE_CACHE: dict[str, object] = {}
-
-
-def _indent(code: str) -> str:
-    """Indent generated source one level (for try/except nesting)."""
-    return "".join("    " + line if line.strip() else line
-                   for line in code.splitlines(keepends=True))
-
-
-def _gen(src: str, env: dict) -> Callable:
-    code = _CODE_CACHE.get(src)
+def _load(src: str, env: dict) -> Callable:
+    key = hashlib.blake2b(src.encode(), digest_size=16).digest()
+    code = _CODE.pop(key, None)
     if code is None:
         code = compile(src, "<repro.interp.compiled>", "exec")
-        _CODE_CACHE[src] = code
-    ns = dict(env)
-    exec(code, ns)
-    return ns["run"]
-
-
-#: per-instruction charge prologue shared by Set/Call/Check sources
-_INSTR_HEAD = (
-    "def run(ip, f):\n"
-    "    c = ip.cost\n"
-    "    c.cycles += 1\n"
-    "    c.instrs += 1\n"
-    "    sh = ip.shadow\n"
-    "    if sh is not None:\n"
-    "        sh.on_instr()\n")
-
-#: per-statement step accounting shared by If/Return sources.  The
-#: limit compare goes against ``_limit_at`` (== max_steps without a
-#: deadline); ``_over_limit`` raises or advances the clock checkpoint.
-_STEP_HEAD = (
-    "def run(ip, f):\n"
-    "    ip.steps += 1\n"
-    "    if ip.steps > ip._limit_at:\n"
-    "        ip._over_limit()\n")
-
-_STEP_ENV: dict = {}
-
-#: comparison operators by symbol (fast path inlines the operator)
-_CMP_SYM = {
-    E.BinopKind.LT: "<", E.BinopKind.GT: ">",
-    E.BinopKind.LE: "<=", E.BinopKind.GE: ">=",
-    E.BinopKind.EQ: "==", E.BinopKind.NE: "!=",
-}
-
-#: integer binop fast-path expressions over ``v1``/``v2`` plus whether
-#: the expression can raise ZeroDivisionError.  The DIV/MOD forms
-#: mirror the tree walker's C-style truncation (``int(x / y)``).
-_INT_EXPR = {
-    E.BinopKind.ADD: ("v1 + v2", False),
-    E.BinopKind.SUB: ("v1 - v2", False),
-    E.BinopKind.MUL: ("v1 * v2", False),
-    E.BinopKind.DIV: ("int(v1 / v2)", True),
-    E.BinopKind.MOD: ("v1 - int(v1 / v2) * v2", True),
-    E.BinopKind.SHL: ("v1 << (v2 & 63)", False),
-    E.BinopKind.SHR: ("v1 >> (v2 & 63)", False),
-    E.BinopKind.BAND: ("v1 & v2", False),
-    E.BinopKind.BOR: ("v1 | v2", False),
-    E.BinopKind.BXOR: ("v1 ^ v2", False),
-}
+    _CODE[key] = code
+    if len(_CODE) > _CODE_KEEP:
+        _CODE.popitem(last=False)
+    exec(code, env)
+    return env["run"]
 
 
 # ---------------------------------------------------------------------------
-# Small shared runtime helpers (mirror Interpreter._to_int/_to_float)
+# Runtime helpers called by generated code (slow paths mirror the tree
+# walker's Interpreter methods exactly)
 # ---------------------------------------------------------------------------
 
-def _as_int(v: object) -> int:
-    if isinstance(v, PtrVal):
-        return v.addr
-    if isinstance(v, float):
-        return int(v)
-    if isinstance(v, int):
-        return v
-    if v is None:
-        return 0
-    raise MemorySafetyError(f"expected integer, got {v!r}")
+_as_int = Interpreter._to_int
+_as_float = Interpreter._to_float
+_static_sizeof = Interpreter._sizeof
 
 
-def _as_float(v: object) -> float:
-    if isinstance(v, PtrVal):
-        return float(v.addr)
-    if v is None:
-        return 0.0
-    return float(v)  # type: ignore[arg-type]
+def _wrap(v: object, mask: int, top: int) -> int:
+    """``Interpreter._wrap_to`` for an integer type's ``(mask, top)``."""
+    if not isinstance(v, int):
+        v = int(v)  # type: ignore[arg-type]
+    v &= mask
+    return v - 2 * top if top and v >= top else v
 
 
-def _binop_slow(v1: object, v2: object, iop: Callable,
-                wrap: Callable) -> object:
-    """Uncommon operand shapes (pointers, floats, bools, None) of an
-    integer binop; mirrors the tree walker exactly."""
+def _binop_slow(v1: object, v2: object, op: E.BinopKind, mask: int,
+                top: int) -> int:
     if isinstance(v1, PtrVal):
         v1 = v1.addr
     if isinstance(v2, PtrVal):
         v2 = v2.addr
+    x = _as_int(v1)
+    y = _as_int(v2)
     try:
-        out = iop(_as_int(v1), _as_int(v2))
+        out = _INT_OPS[op](x, y)
     except ZeroDivisionError:
         raise ProgramAbort("integer division by zero")
     except ValueError:
         raise ProgramAbort("invalid shift amount")
-    return wrap(out)
+    return _wrap(out, mask, top)
 
 
-def _cmp_slow(v1: object, v2: object, cmpf: Callable) -> int:
-    """Comparison over non-int operand shapes; tree semantics."""
-    if isinstance(v1, PtrVal) or isinstance(v2, PtrVal):
-        v1 = v1.addr if isinstance(v1, PtrVal) else _as_int(v1)
-        v2 = v2.addr if isinstance(v2, PtrVal) else _as_int(v2)
-    if isinstance(v1, float) or isinstance(v2, float):
-        return int(cmpf(_as_float(v1), _as_float(v2)))
-    return int(cmpf(_as_int(v1), _as_int(v2)))
+def _float_slow(v1: object, v2: object, op: E.BinopKind) -> float:
+    if isinstance(v1, PtrVal):
+        v1 = v1.addr
+    if isinstance(v2, PtrVal):
+        v2 = v2.addr
+    x = _as_float(v1)
+    y = _as_float(v2)
+    try:
+        return _FLOAT_OPS[op](x, y)
+    except ZeroDivisionError:
+        raise ProgramAbort("floating division by zero")
 
 
-def _cast_int_slow(v: object, wrap: Callable) -> int:
+def _unop_slow(v: object, neg: bool, mask: Optional[int],
+               top: int) -> object:
     if isinstance(v, PtrVal):
         v = v.addr
-    return wrap(int(v) if isinstance(v, float) else _as_int(v))
+    out = -v if neg else ~_as_int(v)  # type: ignore[operator]
+    return out if mask is None else _wrap(out, mask, top)
 
 
-def _neg_slow(v: object, wrap: Callable) -> object:
+def _cast_int_slow(v: object, mask: int, top: int) -> int:
     if isinstance(v, PtrVal):
         v = v.addr
-    return wrap(-v)  # type: ignore[operator]
+    return _wrap(int(v) if isinstance(v, float) else _as_int(v),
+                 mask, top)
 
 
-def _bnot_slow(v: object, wrap: Callable) -> object:
-    if isinstance(v, PtrVal):
-        v = v.addr
-    return wrap(~_as_int(v))
+def _pi_slow(v1: object, v2: object, mult: int) -> PtrVal:
+    p = v1 if isinstance(v1, PtrVal) else PtrVal(_as_int(v1))
+    return p.with_addr(p.addr + _as_int(v2) * mult)
+
+
+def _pp_slow(v1: object, v2: object, esz: int) -> int:
+    a1 = v1.addr if isinstance(v1, PtrVal) else _as_int(v1)
+    a2 = v2.addr if isinstance(v2, PtrVal) else _as_int(v2)
+    return (a1 - a2) // esz
 
 
 def _index_slow(idx: object) -> int:
@@ -241,1255 +211,1153 @@ def _index_slow(idx: object) -> int:
     return int(idx)  # type: ignore[arg-type]
 
 
-def _seq_msg(v: PtrVal, size: int) -> str:
-    return (f"SEQ bounds: 0x{v.addr:x} not in "
-            f"[0x{v.b:x}, 0x{(v.e or 0):x} - {size}]")
+def _ovl(ip, st: int, n: int = 1) -> int:
+    """Step-budget slow path of ``n`` steps taken at once (nothing runs
+    between them): replay them one by one, letting ``_over_limit``
+    raise or advance the clock checkpoint; return the new limit."""
+    for s in range(st - n + 1, st + 1):
+        if s > ip._limit_at:
+            ip.steps = s
+            ip._over_limit()
+    ip.steps = st
+    return ip._limit_at
 
 
-def _fseq_msg(v: PtrVal, size: int) -> str:
-    return f"FSEQ bounds: 0x{v.addr:x} not below 0x{v.e:x} - {size}"
-
-
-def _wild_msg(v: PtrVal, home) -> str:
-    return f"WILD bounds: 0x{v.addr:x} outside {home.name or 'area'}"
-
-
-def _index_msg(idx: int, length: int) -> str:
-    return f"array index {idx} out of bounds [0, {length})"
-
-
-def _static_sizeof(t: T.CType) -> int:
-    """Compile-time ``sizeof``; shares the per-type cache with the
-    tree engine's ``Interpreter._sizeof``."""
-    size = getattr(t, "_csize_cache", None)
-    if size is not None:
-        return size
+def _call(ip, st: int, cy: int, ni: int, nm: int, name: Optional[str],
+          fnval: Optional[PtrVal], args: list, instr: S.Call,
+          caller: str) -> tuple:
+    """A call from generated code: store the caller's counters, dispatch,
+    return ``(value, steps, step limit)``.  Should the call raise, the
+    counters are taken back out: the caller still holds them and its
+    ``finally`` stores them."""
+    ip.steps = st
+    c = ip.cost
+    c.cycles += cy
+    c.instrs += ni
+    c.mems += nm
     try:
-        size = T.unroll(t).size()
-    except T.IncompleteTypeError:
-        size = 4
+        ret = ip._dispatch_call(name, fnval, args, instr, caller)
+    except BaseException:
+        c.cycles -= cy
+        c.instrs -= ni
+        c.mems -= nm
+        raise
+    return ret, ip.steps, ip._limit_at
+
+
+def _check(ip, c: S.Check, v: object, f) -> None:
+    """A check whose inline pass test failed: the tree walker's
+    ``_check_value``, the failure record attached."""
     try:
-        t._csize_cache = size  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    return size
+        ip._check_value(c, v, f)
+    except MemorySafetyError as exc:
+        ip._attach_check_failure(exc, c, f.fundec.name)
+        raise
 
 
-def _noop(ip, f) -> None:
-    return None
+def _dead(ip, c: S.Check, v: PtrVal, f) -> None:
+    """A passing check's pointer is not alive (or unmapped)."""
+    try:
+        ip._check_alive(v, f)
+    except MemorySafetyError as exc:
+        ip._attach_check_failure(exc, c, f.fundec.name)
+        raise
 
 
-class _Compiler:
-    """Compiles one function body; holds only the static mode flag."""
+def _split_meta(ip, value: int) -> Optional[PtrMeta]:
+    """Section 4.2: SPLIT data written by a library has no shadow
+    metadata yet; the allocator's ground truth provides sound bounds."""
+    home = ip.mem.home_of(value)
+    if home is None:
+        return None
+    ip.cost.charge(4, "split:manufacture")
+    return PtrMeta(b=home.base, e=home.end)
 
-    __slots__ = ("cured",)
 
-    def __init__(self, cured: bool) -> None:
+def _fail(cls: type, *args: object) -> None:
+    raise cls(*args)
+
+
+#: module globals every generated function sees
+_HELPERS = {
+    "PtrVal": PtrVal, "PtrMeta": PtrMeta, "Frame": Frame,
+    "MemorySafetyError": MemorySafetyError, "LinkError": LinkError,
+    "NullDereferenceError": NullDereferenceError,
+    "_Break": _Break, "_Continue": _Continue,
+    "_as_int": _as_int, "_as_float": _as_float,
+    "_binop_slow": _binop_slow, "_float_slow": _float_slow,
+    "_unop_slow": _unop_slow,
+    "_cast_int_slow": _cast_int_slow, "_pi_slow": _pi_slow,
+    "_pp_slow": _pp_slow, "_index_slow": _index_slow, "_ovl": _ovl,
+    "_split_meta": _split_meta, "_fail": _fail,
+    "_check": _check, "_dead": _dead, "_call": _call,
+}
+
+#: prologue bindings, in emission order, for the names a body uses
+_PROLOGUE = (
+    ("mem", "mem = ip.mem"), ("rdi", "rdi = mem.read_int"),
+    ("rdf", "rdf = mem.read_float"), ("rdp", "rdp = mem.read_ptr"),
+    ("wri", "wri = mem.write_int"), ("wrf", "wrf = mem.write_float"),
+    ("wrp", "wrp = mem.write_ptr"), ("hof", "hof = mem.home_of"),
+    ("alloc", "alloc = mem.alloc"), ("lk", "lk = mem.locks"),
+    ("hm", "hm = f.homes"), ("gh", "gh = ip._global_homes"),
+    ("ev", "ev = c.events"), ("hits", "hits = ip.site_hits"),
+    ("sh", "sh = ip.shadow"), ("zp", "zp = ip._zero_ptr"),
+    ("rv", "rv = 0"),
+)
+_MEM_USERS = {"rdi", "rdf", "rdp", "wri", "wrf", "wrp", "hof", "alloc",
+              "lk"}
+
+#: value class of a 0/1 comparison result: fits every integer type
+_B01 = (1, 0)
+
+
+def _int_params(t: T.CType) -> tuple[int, int]:
+    """``(mask, top)`` of integer wrapping at ``t`` (``top`` = 0 when
+    unsigned), as ``Interpreter._wrap_to`` applies it."""
+    u = T.unroll(t)
+    if isinstance(u, T.TInt):
+        bits, signed = 8 * u.size(), u.kind.is_signed
+    else:
+        bits, signed = 32, False
+    return (1 << bits) - 1, (1 << (bits - 1)) if signed else 0
+
+
+def _isint(vc: object) -> bool:
+    return vc == "i" or isinstance(vc, tuple)
+
+
+def _lit(v: int) -> str:
+    return repr(v) if v >= 0 else f"({v})"
+
+
+def _lit_value(code: str) -> Optional[int]:
+    s = code[1:-1] if code.startswith("(-") else code
+    return int(s) if s.lstrip("-").isdigit() else None
+
+
+def _atom(code: str) -> bool:
+    return code.isidentifier() or _lit_value(code) is not None
+
+
+def _wrapped(code: str, p: tuple[int, int]) -> str:
+    """``code``, an exact int, wrapped to an integer type's range."""
+    mask, top = p
+    value = _lit_value(code)
+    if value is not None:
+        value &= mask
+        return _lit(value - 2 * top if top and value >= top else value)
+    if not top:
+        return f"(({code}) & {mask})"
+    return f"((({code}) + {top} & {mask}) - {top})"
+
+
+def _meet(a: dict, b: dict) -> dict:
+    """The facts holding on both of two joining paths."""
+    return {k: v for k, v in a.items() if b.get(k) == v}
+
+
+def _escapes(s: S.Stmt, in_loop: bool = False) -> set:
+    """How control can leave a hoisted statement: 1 break, 2 continue
+    (out of an enclosing loop), 3 return."""
+    cls = s.__class__
+    if cls is S.Return:
+        return {3}
+    if cls is S.Break:
+        return set() if in_loop else {1}
+    if cls is S.Continue:
+        return set() if in_loop else {2}
+    out: set = set()
+    if cls is S.If:
+        for x in s.then.stmts + s.els.stmts:
+            out |= _escapes(x, in_loop)
+    elif cls is S.Block:
+        for x in s.stmts:
+            out |= _escapes(x, in_loop)
+    elif cls is S.Loop:
+        for x in s.body.stmts:
+            out |= _escapes(x, True)
+    return out
+
+
+class _Gen:
+    """Generates the source of one function for one mode."""
+
+    def __init__(self, fd: S.Fundec, cured: bool, shadowed: bool,
+                 counting: bool) -> None:
+        self.fd = fd
         self.cured = cured
+        self.shadowed = shadowed
+        self.counting = counting
+        self.env: dict = {"fname": fd.name}
+        self._consts: dict[int, str] = {}
+        self.lines: list[str] = []
+        self.ind = 2
+        self.ntmp = 0
+        self.uses: set[str] = set()
+        #: charges summed but not yet emitted: cycles, instrs, mems; and
+        #: steps taken with nothing run between them
+        self.pc = self.pi = self.pm = self.pst = 0
+        #: what is known at this point of the generated code: register
+        #: -> the temporary holding its value as a fat pointer, and
+        #: "!" + name -> "" for a register or temporary known non-null
+        self.facts: dict[str, str] = {}
+        #: 0 in the function itself, n inside hoisted function ``_hn``
+        self.scope = 0
+        self.nscopes = 0
+        self.blocks = 1  # the function's try/finally
+        #: enclosing loops: (scope, trailing statements)
+        self.loops: list[tuple[int, list]] = []
+        self.hoisted: list[list[str]] = []
+        #: vid -> (local name, value class) of register formals/locals
+        self.regs: dict[int, tuple[str, object]] = {}
+        #: vid -> local holding the base address of a frame home
+        self.bases: dict[int, str] = {}
+        #: vid -> local holding a global's home (``None`` if unlinked)
+        self.globals: dict[int, str] = {}
 
-    # ------------------------------------------------------------------
-    # Operand fetch: inline registers and constants, closure otherwise
-    # ------------------------------------------------------------------
+    # -- emission ------------------------------------------------------
 
-    def _fetch(self, e: E.Exp, n: int) -> tuple[str, dict]:
-        """A source expression + env loading operand ``e``.  Register
-        variables and constants inline (no closure call); anything else
-        compiles to a closure invoked as ``e{n}c(ip, f)``."""
-        if e.__class__ is E.LvalExp:
-            lv = e.lval
-            if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
-                return f"f.regs[v{n}id]", {f"v{n}id": lv.host.var.vid}
-        elif e.__class__ is E.Const:
-            return f"k{n}", {f"k{n}": e.value}
-        return f"e{n}c(ip, f)", {f"e{n}c": self.exp(e)}
+    def emit(self, line: str) -> None:
+        if self.pst:
+            self.flush_steps()
+        self.lines.append(" " * self.ind + line)
 
-    # ------------------------------------------------------------------
-    # Statements
-    # ------------------------------------------------------------------
+    def flush_steps(self) -> None:
+        """Emit the budget check of the pending steps."""
+        n, self.pst = self.pst, 0
+        pad = " " * self.ind
+        if n == 1:
+            self.lines.append(f"{pad}if (st := st + 1) > lim: "
+                              f"lim = _ovl(ip, st)")
+            return
+        # check first: should _ovl raise, ``st`` must not count the
+        # steps the raise cuts off (``finally`` keeps the larger of
+        # ``st`` and ``ip.steps``)
+        self.lines.append(f"{pad}if st + {n} > lim: "
+                          f"lim = _ovl(ip, st + {n}, {n})")
+        self.lines.append(f"{pad}st += {n}")
 
-    def block_body(self, b: S.Block) -> Callable:
-        """Runner for a statement list *without* a step charge for the
-        block itself (If branches, loop bodies, function bodies)."""
-        stmts = tuple(self.stmt(s) for s in b.stmts)
-        if not stmts:
-            return _noop
-        if len(stmts) == 1:
-            return stmts[0]
+    def tmp(self) -> str:
+        self.ntmp += 1
+        return f"t{self.ntmp}"
 
-        def run(ip, f):
-            for s in stmts:
-                s(ip, f)
-        return run
+    def k(self, value: object) -> str:
+        """A global of the generated function holding ``value``."""
+        name = self._consts.get(id(value))
+        if name is None:
+            name = self._consts[id(value)] = f"k{len(self._consts)}"
+            self.env[name] = value
+        return name
 
-    def stmt(self, s: S.Stmt) -> Callable:
+    def use(self, *names: str) -> None:
+        self.uses.update(names)
+
+    def name(self, code: str) -> str:
+        """``code`` as an atom, binding it to a temporary if needed."""
+        if _atom(code):
+            return code
+        t = self.tmp()
+        self.emit(f"{t} = {code}")
+        return t
+
+    def impure(self, code: str) -> str:
+        """Evaluate ``code``, which may raise or observe, now: settle
+        the charges the tree walker has made by this point first."""
+        self.settle()
+        t = self.tmp()
+        self.emit(f"{t} = {code}")
+        return t
+
+    # -- cost-model accounting -----------------------------------------
+
+    def charge(self, cycles: int, instrs: int = 0, mems: int = 0) -> None:
+        self.pc += cycles
+        self.pi += instrs
+        self.pm += mems
+
+    def settle(self) -> None:
+        """Emit the pending steps and summed charges before anything that
+        can raise or observe them."""
+        if self.pst:
+            self.flush_steps()
+        if self.shadowed:
+            names = ("c.cycles", "c.instrs", "c.mems")
+        else:
+            names = ("cy", "ni", "nm")
+        parts = [f"{n} += {v}" for n, v in zip(names,
+                                               (self.pc, self.pi, self.pm))
+                 if v]
+        if parts:
+            self.emit("; ".join(parts))
+        self.pc = self.pi = self.pm = 0
+
+    def sync(self) -> None:
+        """Before a shadow-tool hook: the charges go straight to
+        ``ip.cost`` in shadowed mode, the steps are stored here."""
+        self.settle()
+        self.emit("ip.steps = st")
+
+    def step(self) -> None:
+        if self.pc or self.pi or self.pm:
+            self.settle()
+        self.pst += 1
+
+    # -- the function --------------------------------------------------
+
+    def source(self) -> tuple[str, dict]:
+        fd = self.fd
+        bind: list[str] = ["n = len(args)"] if fd.formals else []
+        zeros: dict[str, list[str]] = {}
+        for i, v in enumerate(list(fd.formals) + list(fd.locals)):
+            formal = i < len(fd.formals)
+            value = f"args[{i}] if n > {i} else 0"
+            if _is_register_type(v.type) and not v.address_taken:
+                r = f"r{i}"
+                self.regs[v.vid] = (r, None if formal
+                                    else self._class_of(v.type))
+                if formal:
+                    bind.append(f"{r} = {value}")
+                else:
+                    zeros.setdefault(self._zero(v.type), []).append(r)
+                continue
+            h, b, kt = f"h{i}", f"b{i}", self.k(v.type)
+            self.bases[v.vid] = b
+            self.use("alloc", "hm", "lk")
+            bind.append(f"{h} = alloc({_static_sizeof(v.type)}, 'stack', "
+                        f"{self.k(f'{fd.name}:{v.name}')}); "
+                        f"{h}.frame_id = fid; hm[{self.k(v.vid)}] = {h}; "
+                        f"{b} = {h}.base")
+            if formal:
+                bind.append(f"ip._write_mem({b}, {kt}, "
+                            f"ip._coerce_store({value}, {kt}))")
+        bind += [" = ".join(rs) + f" = {z}" for z, rs in zeros.items()]
+        self.regnames = {r for r, _ in self.regs.values()}
+        self.block(fd.body.stmts)
+        self.emit("return 0")
+        body = self.lines
+
+        head = ["def run(ip, fd, args):",
+                " fr = ip._frames",
+                " ip._frame_counter = fid = ip._frame_counter + 1",
+                " f = Frame(fd, fid)",
+                " fr.append(f)",
+                " c = ip.cost",
+                " st = ip.steps",
+                " lim = ip._limit_at"]
+        if not self.shadowed:
+            head.append(" cy = ni = nm = 0")
+        if self.uses & _MEM_USERS:
+            self.uses.add("mem")
+        head += [" " + line for key, line in _PROLOGUE
+                 if key in self.uses]
+        # vids and site ids stay out of the source text: a re-parsed or
+        # re-cured variant of a function then shares its code object
+        head += [f" {g} = gh.get({self.k(vid)})"
+                 for vid, g in self.globals.items()]
+        if self.hoisted:
+            shared = ["st", "lim"] + ([] if self.shadowed
+                                      else ["cy", "ni", "nm"])
+            shared += [r for r, _ in self.regs.values()]
+            if "rv" in self.uses:
+                shared.append("rv")
+            for i, lines in enumerate(self.hoisted, 1):
+                head.append(f" def _h{i}():")
+                head.append("  nonlocal " + ", ".join(shared))
+                head += lines
+        tail = [" finally:",
+                "  if st > ip.steps: ip.steps = st"]
+        if not self.shadowed:
+            tail.append("  c.cycles += cy; c.instrs += ni; c.mems += nm")
+        tail.append("  fr.pop()")
+        if self.bases:
+            tail.append("  for h in hm.values(): h.alive = False; "
+                        "lk.release(h.lock_slot)")
+        src = "\n".join(head + [" try:"] + ["  " + b for b in bind]
+                        + body + tail) + "\n"
+        return src, {**_HELPERS, **self.env}
+
+    def _zero(self, t: T.CType) -> str:
+        u = T.unroll(t)
+        if isinstance(u, T.TFloat):
+            return "0.0"
+        if isinstance(u, T.TPtr):
+            self.use("zp")
+            return "zp"
+        return "0"
+
+    @staticmethod
+    def _class_of(t: T.CType) -> object:
+        """Value class of a coerced ``t``-typed value."""
+        u = T.unroll(t)
+        if isinstance(u, (T.TInt, T.TEnum)):
+            return _int_params(u)
+        if isinstance(u, T.TFloat):
+            return "f"
+        if isinstance(u, T.TPtr):
+            return "p"
+        return None
+
+    # -- statements ----------------------------------------------------
+
+    def block(self, stmts: list) -> None:
+        n = len(self.lines)
+        for s in stmts:
+            self.stmt(s)
+        self.settle()
+        if len(self.lines) == n:
+            self.emit("pass")
+
+    def stmt(self, s: S.Stmt) -> None:
         cls = s.__class__
+        if cls in (S.If, S.Loop, S.Block) and (
+                self.ind >= _MAX_INDENT
+                or (cls is S.Loop and self.blocks >= _MAX_BLOCKS)):
+            self.hoist(s)
+            return
+        self.step()
         if cls is S.InstrStmt:
-            return self._compile_instr_stmt(s)
-        if cls is S.If:
-            return self._compile_if(s)
-        if cls is S.Loop:
-            return self._compile_loop(s)
-        if cls is S.Return:
-            return self._compile_return(s)
-        if cls is S.Block:
-            body = self.block_body(s)
+            for i in s.instrs:
+                self.instr(i)
+        elif cls is S.If:
+            self.charge(1, instrs=1)
+            cond = self.truth(s.cond)
+            self.settle()
+            if s.then.stmts:
+                self.emit(f"if {cond}:")
+                facts = self.nested(s.then.stmts)
+                if s.els.stmts:
+                    self.emit("else:")
+                    facts = _meet(facts, self.nested(s.els.stmts))
+                else:
+                    facts = _meet(facts, self.facts)
+            else:
+                self.emit(f"if not {cond}:")
+                facts = _meet(self.nested(s.els.stmts), self.facts)
+            self.facts = facts
+        elif cls is S.Loop:
+            self.settle()
+            stmts = s.body.stmts
+            trailing = getattr(s, "continue_runs_trailing", 0)
+            self.loops.append((self.scope, stmts[len(stmts) - trailing:]
+                               if trailing else []))
+            self.emit("while True:")
+            self.blocks += 1
+            self.facts = {}  # the back edge joins here
+            self.nested(stmts)
+            self.facts = {}
+            self.blocks -= 1
+            self.loops.pop()
+        elif cls is S.Return:
+            code = self.exp(s.exp)[0] if s.exp is not None else "0"
+            self.settle()
+            self.leave(3, code)
+        elif cls is S.Block:
+            for x in s.stmts:
+                self.stmt(x)
+        elif cls is S.Break:
+            self.settle()
+            self.leave(1)
+        elif cls is S.Continue:
+            self.settle()
+            self.leave(2)
 
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                body(ip, f)
-            return run
-        if cls is S.Break:
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                raise _Break()
-            return run
-        if cls is S.Continue:
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                raise _Continue()
-            return run
+    def nested(self, stmts: list) -> dict:
+        """Generate a branch or loop body one level in; returns the facts
+        at its end, leaving the entry facts current."""
+        entry = dict(self.facts)
+        self.ind += 1
+        self.block(stmts)
+        self.ind -= 1
+        facts, self.facts = self.facts, entry
+        return facts
 
-        # Unknown statement classes: the tree walker charges the step
-        # and falls through; replicate.
-        def run(ip, f):
-            ip.steps += 1
-            if ip.steps > ip._limit_at:
-                ip._over_limit()
-        return run
+    def leave(self, how: int, value: str = "0") -> None:
+        """Leave by break (1), continue (2) or return (3): natively when
+        the target is in this function, else by the hoisted function's
+        return code."""
+        if how == 3:
+            if self.scope == 0:
+                self.emit(f"return {value}")
+            else:
+                self.use("rv")
+                self.emit(f"rv = {value}")
+                self.emit("return 3")
+            return
+        if not self.loops:
+            self.emit("raise _Break()" if how == 1 else "raise _Continue()")
+        elif self.loops[-1][0] != self.scope:
+            self.emit(f"return {how}")
+        elif how == 1:
+            self.emit("break")
+        else:
+            for x in self.loops[-1][1]:
+                self.stmt(x)
+            self.settle()
+            self.emit("continue")
 
-    def _compile_instr_stmt(self, s: S.InstrStmt) -> Callable:
-        instrs = tuple(self.instr(i) for i in s.instrs)
-        if len(instrs) == 1:
-            one = instrs[0]
+    def hoist(self, s: S.Stmt) -> None:
+        """Generate ``s`` as nested function ``_hn`` (too deep to nest
+        here) and call it, propagating break/continue/return."""
+        self.settle()
+        self.nscopes += 1
+        name = f"_h{self.nscopes}"
+        saved = (self.lines, self.ind, self.scope, self.blocks)
+        self.lines, self.ind, self.scope, self.blocks = \
+            [], 2, self.nscopes, 0
+        self.facts = {}
+        self.hoisted.append(self.lines)
+        self.stmt(s)
+        self.settle()
+        self.lines, self.ind, self.scope, self.blocks = saved
+        self.facts = {}
+        codes = _escapes(s)
+        if not codes:
+            self.emit(f"{name}()")
+            return
+        ret = self.tmp()
+        self.emit(f"{ret} = {name}()")
+        if 3 in codes:
+            self.use("rv")
+            self.emit(f"if {ret} == 3: "
+                      + ("return rv" if self.scope == 0 else "return 3"))
+        for how in (1, 2):
+            if how in codes:
+                self.emit(f"if {ret} == {how}:")
+                self.ind += 1
+                self.leave(how)
+                self.ind -= 1
 
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                one(ip, f)
-            return run
+    # -- instructions --------------------------------------------------
 
-        def run(ip, f):
-            ip.steps += 1
-            if ip.steps > ip._limit_at:
-                ip._over_limit()
-            for i in instrs:
-                i(ip, f)
-        return run
-
-    def _compile_if(self, s: S.If) -> Callable:
-        fcode, fenv = self._fetch(s.cond, 1)
-        # truthiness matches the tree walker: ints by value, pointers
-        # by address, everything else by bool()
-        src = (_STEP_HEAD +
-               "    c = ip.cost\n"
-               "    c.cycles += 1\n"
-               "    c.instrs += 1\n"
-               f"    v = {fcode}\n"
-               "    if v.__class__ is PtrVal:\n"
-               "        v = v.addr\n"
-               "    if v:\n"
-               "        thenb(ip, f)\n"
-               "    else:\n"
-               "        elsb(ip, f)\n")
-        return _gen(src, {**_STEP_ENV, **fenv, "PtrVal": PtrVal,
-                          "thenb": self.block_body(s.then),
-                          "elsb": self.block_body(s.els)})
-
-    def _compile_loop(self, s: S.Loop) -> Callable:
-        stmts = tuple(self.stmt(x) for x in s.body.stmts)
-        trailing = getattr(s, "continue_runs_trailing", 0)
-        tail = stmts[len(stmts) - trailing:] if trailing else ()
-
-        def run(ip, f):
-            ip.steps += 1
-            if ip.steps > ip._limit_at:
-                ip._over_limit()
-            while True:
-                try:
-                    for x in stmts:
-                        x(ip, f)
-                except _Break:
-                    return
-                except _Continue:
-                    try:
-                        for x in tail:
-                            x(ip, f)
-                    except _Break:
-                        return
-        return run
-
-    def _compile_return(self, s: S.Return) -> Callable:
-        if s.exp is None:
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                raise _Return(0)
-            return run
-        fcode, fenv = self._fetch(s.exp, 1)
-        src = _STEP_HEAD + f"    raise _Return({fcode})\n"
-        return _gen(src, {**_STEP_ENV, **fenv, "_Return": _Return})
-
-    # ------------------------------------------------------------------
-    # Instructions
-    # ------------------------------------------------------------------
-
-    def instr(self, i: S.Instr) -> Callable:
+    def instr(self, i: S.Instr) -> None:
+        self.charge(1, instrs=1)
+        if self.shadowed:
+            self.use("sh")
+            self.sync()
+            self.emit("sh.on_instr()")
         cls = i.__class__
         if cls is S.Set:
-            return self._compile_set(i)
-        if cls is S.Call:
-            return self._compile_call(i)
-        if cls is S.Check:
-            return self._compile_check(i)
-        raise MemorySafetyError(f"cannot compile instruction {i!r}")
+            v, vc = self.exp(i.exp)
+            v, vc = self.coerce(v, vc, i.lval.type())
+            self.store(i.lval, v, vc)
+        elif cls is S.Call:
+            self.call(i)
+        elif cls is S.Check and self.cured:
+            self.check(i)
 
-    def _coerce_code(self, t: T.CType) -> tuple[str, dict]:
-        """Source lines coercing the local ``value`` for a store into a
-        ``t``-typed slot; the uncommon shapes fall back to the generic
-        coercion closure."""
-        u = T.unroll(t)
-        env = {"coerce_slow": self.coerce(t)}
-        if isinstance(u, (T.TInt, T.TEnum)):
-            mask, top, span = self._wrap_params(t) or (0xFFFFFFFF, 0, 0)
-            env.update(mask=mask, top=top, span=span)
-            if not top:
-                return ("    if value.__class__ is int:\n"
-                        "        value = value & mask\n"
-                        "    else:\n"
-                        "        value = coerce_slow(value)\n"), env
-            return ("    if value.__class__ is int:\n"
-                    "        value = value & mask\n"
-                    "        if value >= top:\n"
-                    "            value = value - span\n"
-                    "    else:\n"
-                    "        value = coerce_slow(value)\n"), env
-        if isinstance(u, T.TPtr):
-            env["PtrVal"] = PtrVal
-            return ("    if value.__class__ is not PtrVal:\n"
-                    "        value = coerce_slow(value)\n"), env
-        return "    value = coerce_slow(value)\n", env
-
-    def _compile_set(self, i: S.Set) -> Callable:
-        lv = i.lval
-        fcode, fenv = self._fetch(i.exp, 1)
-        ccode, cenv = self._coerce_code(lv.type())
-        head = _INSTR_HEAD + f"    value = {fcode}\n" + ccode
-        if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
-            # register destination: the whole statement is one frame
-            src = head + "    f.regs[dvid] = value\n"
-            return _gen(src, {**fenv, **cenv,
-                              "dvid": lv.host.var.vid})
-        acode, aenv, t = self._addr_code(lv)
-        body = self._write_body(t)
-        if body is not None:
-            bcode, benv = body
-            guard = ""
-            if self.cured:
-                guard = (
-                    "    if value.__class__ is PtrVal "
-                    "and value.addr != 0:\n"
-                    "        ip._stack_escape_check(addr, value, f)\n")
-            src = head + acode + guard + bcode
-            return _gen(src, {**fenv, **cenv, **aenv, **benv,
-                              "PtrVal": PtrVal})
-        writec = self.write_lval(lv)
-        src = head + "    writec(ip, f, value)\n"
-        return _gen(src, {**fenv, **cenv, "writec": writec})
-
-    def _compile_call(self, i: S.Call) -> Callable:
-        fetches = [self._fetch(a, n) for n, a in enumerate(i.args)]
-        env: dict = {"instr": i}
-        for _, fe in fetches:
-            env.update(fe)
-        args_expr = ", ".join(fc for fc, _ in fetches)
-        head = _INSTR_HEAD + f"    args = [{args_expr}]\n"
-        direct = (isinstance(i.fn, (E.AddrOf, E.LvalExp))
-                  and isinstance(i.fn.lval.host, E.Var)
-                  and isinstance(i.fn.lval.offset, E.NoOffset)
-                  and T.is_function(i.fn.lval.host.var.type))
-        if direct:
-            env["name"] = i.fn.lval.host.var.name
-            call = ("    ret = ip._dispatch_call(name, None, args, "
-                    "instr, f)\n")
+    def call(self, i: S.Call) -> None:
+        args = ", ".join(self.exp(a)[0] for a in i.args)
+        fn = i.fn
+        if (isinstance(fn, (E.AddrOf, E.LvalExp))
+                and isinstance(fn.lval.host, E.Var)
+                and isinstance(fn.lval.offset, E.NoOffset)
+                and T.is_function(fn.lval.host.var.type)):
+            target = f"{self.k(fn.lval.host.var.name)}, None"
         else:
-            fncode, fnenv = self._fetch(i.fn, 99)
-            env.update(fnenv)
-            env["PtrVal"] = PtrVal
-            call = (
-                f"    fv = {fncode}\n"
-                "    if fv.__class__ is not PtrVal:\n"
-                "        fv = PtrVal(int(fv))\n"
-                "    ret = ip._dispatch_call(None, fv, args, "
-                "instr, f)\n")
-        store = ""
+            v, vc = self.exp(fn)
+            if vc != "p":
+                v = self.name(v)
+                v = self.impure(f"{v} if {v}.__class__ is PtrVal "
+                                f"else PtrVal(int({v}))")
+            target = f"None, {v}"
+        self.settle()
+        ret = self.tmp()
+        counters, reset = ("0, 0, 0", "") if self.shadowed else \
+            ("cy, ni, nm", "; cy = ni = nm = 0")
+        self.emit(f"{ret}, st, lim = _call(ip, st, {counters}, {target}, "
+                  f"[{args}], {self.k(i)}, fname){reset}")
         if i.ret is not None:
-            env["retc"] = self.coerce(i.ret.type())
-            if (i.ret.host.__class__ is E.Var
-                    and self._is_reg(i.ret.host.var)):
-                env["rvid"] = i.ret.host.var.vid
-                store = "    f.regs[rvid] = retc(ret)\n"
-            else:
-                env["retw"] = self.write_lval(i.ret)
-                store = "    retw(ip, f, retc(ret))\n"
-        return _gen(head + call + store, env)
+            v, vc = self.coerce(ret, None, i.ret.type())
+            self.store(i.ret, v, vc)
 
-    # ------------------------------------------------------------------
-    # Checks (specialized per kind at compile time)
-    # ------------------------------------------------------------------
-
-    def _compile_check(self, c: S.Check) -> Callable:
-        if not self.cured:
-            # Raw runs of an instrumented program: the instruction is
-            # charged (and seen by shadow tools) but the check is inert.
-            def run(ip, f):
-                cm = ip.cost
-                cm.cycles += 1
-                cm.instrs += 1
-                sh = ip.shadow
-                if sh is not None:
-                    sh.on_instr()
-            return run
-
-        head = (_INSTR_HEAD
-                + "    c.cycles += ck\n"
-                + "    c.events[evk] += 1\n"
-                # per-site hit counters for the observability layer;
-                # a None mapping keeps this to one attribute test
-                + "    hits = ip.site_hits\n"
-                + "    if hits is not None:\n"
-                + "        hits[sitek] = hits.get(sitek, 0) + 1\n")
-        env: dict = {"ck": CHECK_COSTS.get(c.kind, 1),
-                     "evk": f"check:{c.kind.value}",
-                     "sitek": c.site}
-        body = self._check_body_code(c)
-        if body is None:
-            return _gen(head, env)
-        bcode, benv = body
-        # Mirror the tree walker's _exec_check: a failing check gets
-        # its CheckFailure record attached before propagating.  The
-        # Check node rides in the env, so the source text (and the
-        # cached code object) stays shared across same-shape checks.
-        src = (head
-               + "    try:\n"
-               + _indent(bcode)
-               + "    except MemorySafetyError as exc:\n"
-               + "        ip._attach_check_failure(exc, chk, "
-               "f.fundec.name)\n"
-               + "        raise\n")
-        return _gen(src, {**env, **benv, "chk": c,
-                          "MemorySafetyError": MemorySafetyError})
-
-    def _check_body_code(self, c: S.Check) -> Optional[tuple[str, dict]]:
+    def check(self, c: S.Check) -> None:
+        """A cured check: the pass test inline, anything else through
+        the tree walker's ``_check_value``; a failure, in evaluating the
+        argument too, gets the check's record attached, as the tree
+        walker's ``_exec_check`` does."""
         K = S.CheckKind
         kind = c.kind
-        if kind in (K.SAFE_TO_SEQ, K.STORE_STACK_PTR, K.VERIFY_NUL,
-                    K.VERIFY_SIZE):
-            return None  # cost only
-
-        fcode, fenv = self._fetch(c.args[0], 1)
-
-        if kind is K.INDEX:
-            env = {**fenv, "PtrVal": PtrVal, "BoundsError": BoundsError,
-                   "_index_msg": _index_msg, "length": c.size or 0}
-            return ((f"    v = {fcode}\n"
-                     "    if v.__class__ is PtrVal:\n"
-                     "        idx = v.addr\n"
-                     "    else:\n"
-                     "        idx = int(v)\n"
-                     "    if not (0 <= idx < length):\n"
-                     "        raise BoundsError(_index_msg(idx, length),"
-                     " f.fundec.name)\n"), env)
-
-        prelude = (f"    v = {fcode}\n"
-                   "    if v.__class__ is not PtrVal:\n"
-                   "        v = PtrVal(int(v))\n")
-        env = {**fenv, "PtrVal": PtrVal,
-               "NullDereferenceError": NullDereferenceError,
-               "BoundsError": BoundsError}
-
-        if kind is K.NULL:
-            return (prelude +
-                    "    if v.addr == 0:\n"
-                    "        raise NullDereferenceError("
-                    "'null dereference', f.fundec.name)\n"
-                    "    ip._check_alive(v, f)\n"), env
-
-        if kind is K.ALIVE:
-            # the lock-and-key logic lives in one shared interpreter
-            # helper, so both engines raise identical errors
-            return prelude + "    ip._check_temporal(v, f)\n", env
-
-        if kind in (K.SEQ_BOUNDS, K.SEQ_TO_SAFE):
-            env.update(size=c.size or 1, _seq_msg=_seq_msg)
-            if kind is K.SEQ_TO_SAFE:
-                null = "        return\n"  # null survives the conversion
-            else:
-                null = ("        raise NullDereferenceError("
-                        "'null SEQ dereference', f.fundec.name)\n")
-            return (prelude +
-                    "    if v.addr == 0:\n" + null +
-                    "    if not v.b:\n"
-                    "        raise NullDereferenceError("
-                    "'SEQ pointer is an integer in disguise "
-                    "(null base)', f.fundec.name)\n"
-                    "    if not (v.b <= v.addr <= v.e - size"
-                    " if v.e is not None else False):\n"
-                    "        raise BoundsError(_seq_msg(v, size), "
-                    "f.fundec.name)\n"
-                    "    ip._check_alive(v, f)\n"), env
-
-        if kind is K.FSEQ_BOUNDS:
-            env.update(size=c.size or 1, _fseq_msg=_fseq_msg)
-            return (prelude +
-                    "    if v.addr == 0:\n"
-                    "        raise NullDereferenceError("
-                    "'null FSEQ dereference', f.fundec.name)\n"
-                    "    if v.e is None:\n"
-                    "        raise NullDereferenceError("
-                    "'FSEQ pointer is an integer in disguise', "
-                    "f.fundec.name)\n"
-                    "    lo = v.b if v.b is not None else v.addr\n"
-                    "    if not (lo <= v.addr <= v.e - size):\n"
-                    "        raise BoundsError(_fseq_msg(v, size), "
-                    "f.fundec.name)\n"
-                    "    ip._check_alive(v, f)\n"), env
-
-        if kind is K.WILD_BOUNDS:
-            env.update(size=c.size or 1, _wild_msg=_wild_msg,
-                       DanglingPointerError=DanglingPointerError)
-            return (prelude +
-                    "    if v.addr == 0:\n"
-                    "        raise NullDereferenceError("
-                    "'null WILD dereference', f.fundec.name)\n"
-                    "    if not v.b:\n"
-                    "        raise NullDereferenceError("
-                    "'WILD pointer is an integer in disguise', "
-                    "f.fundec.name)\n"
-                    "    home = ip.mem.home_of(v.b)\n"
-                    "    if home is None:\n"
-                    "        raise DanglingPointerError("
-                    "'WILD base invalid', f.fundec.name)\n"
-                    "    if not (home.base <= v.addr <= "
-                    "home.end - size):\n"
-                    "        raise BoundsError(_wild_msg(v, home), "
-                    "f.fundec.name)\n"
-                    "    ip._check_alive(v, f)\n"), env
-
-        if kind is K.WILD_READ_TAG:
-            env["WildTagError"] = WildTagError
-            return (prelude +
-                    "    if not ip.mem.has_ptr_tag(v.addr):\n"
-                    "        raise WildTagError('WILD read: tag says "
-                    "the word is not a pointer', f.fundec.name)\n"), env
-
-        if kind is K.RTTI_CAST:
-            env["rtti_t"] = c.rtti
-            return (prelude +
-                    "    if v.addr == 0:\n"
-                    "        return\n"
-                    "    target = ip.hierarchy.rtti_of(rtti_t)\n"
-                    "    ip._rtti_check(v, target, f)\n"), env
-
-        if kind is K.FUNPTR:
-            env["WildTagError"] = WildTagError
-            return (prelude +
-                    "    if v.addr == 0:\n"
-                    "        raise NullDereferenceError("
-                    "'null function pointer', f.fundec.name)\n"
-                    "    if v.addr not in ip._addr_to_func:\n"
-                    "        raise WildTagError('function pointer does "
-                    "not point to a function', f.fundec.name)\n"), env
-
-        return None  # unknown kinds: cost only, like the tree walker
-
-    # ------------------------------------------------------------------
-    # Lvalues
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _is_reg(var: E.Varinfo) -> bool:
-        """Static version of the frame-register test: matches exactly
-        what ``Interpreter._build_call_plan`` puts into
-        ``frame.regs``."""
-        return (not var.is_global and _is_register_type(var.type)
-                and not var.address_taken)
-
-    def _host_code(self, lv: E.Lval) -> tuple[str, dict, str, T.CType]:
-        """Source lines resolving the lvalue's host storage (register
-        hosts excluded — callers handle those first).  Returns
-        ``(lines, env, base_expr, host_type)``."""
-        env: dict = {}
-        lines: list[str] = []
-        if lv.host.__class__ is E.Var:
-            var = lv.host.var
-            t: T.CType = var.type
-            env["vid"] = var.vid
-            env["LinkError"] = LinkError
-            if var.is_global:
-                env["vmsg"] = f"undefined external {var.name}"
-                lines.append("    h = ip._global_homes.get(vid)\n")
-            else:
-                env["vmsg"] = f"variable {var.name} has no storage"
-                lines.append("    h = f.homes.get(vid)\n")
-            lines += ["    if h is None:\n",
-                      "        raise LinkError(vmsg)\n"]
-            base = "h.base"
+        self.charge(CHECK_COSTS.get(kind, 1))
+        self.use("ev")
+        self.emit(f"ev[{('check:' + kind.value)!r}] += 1")
+        if self.counting:
+            site = self.k(c.site)
+            self.use("hits")
+            self.emit(f"hits[{site}] = hits.get({site}, 0) + 1")
+        if kind in _NO_ARG_CHECKS:
+            return
+        ck = self.k(c)
+        self.settle()
+        n = len(self.lines)
+        v, vc = self.exp(c.args[0])
+        v = self.name(v)
+        if len(self.lines) > n:
+            pad = " " * self.ind
+            self.lines[n:] = [pad + "try:"] + [" " + line for line
+                                               in self.lines[n:]]
+            self.emit(f"except MemorySafetyError as e: "
+                      f"ip._attach_check_failure(e, {ck}, fname); raise")
+        size = c.size or 1
+        slow = f"_check(ip, {ck}, {v}, f)"
+        if kind is K.NULL or kind is K.WILD_BOUNDS or kind is K.FUNPTR:
+            fast = f"{v}.addr" if kind is K.NULL else ""
+            nonnull = True
+        elif kind in (K.SEQ_BOUNDS, K.SEQ_TO_SAFE):
+            # a true base is >= 1, so it also rules out a null address
+            fast = (f"{v}.b and {v}.e is not None and "
+                    f"{v}.b <= {v}.addr <= {v}.e - {size}")
+            nonnull = kind is K.SEQ_BOUNDS
+        elif kind is K.FSEQ_BOUNDS:
+            fast = (f"{v}.addr and {v}.e is not None and "
+                    f"{v}.addr <= {v}.e - {size} and "
+                    f"({v}.b is None or {v}.b <= {v}.addr)")
+            nonnull = True
+        elif kind is K.INDEX:
+            fast = f"0 <= {v} < {c.size or 0}"
+            if not _isint(vc):
+                fast = f"{v}.__class__ is int and {fast}"
+            nonnull = False
         else:
-            host = lv.host
-            assert isinstance(host, E.Mem)
+            fast, nonnull = "", False
+        self.settle()
+        if not fast:
+            self.emit(slow)
+        elif kind is K.INDEX:
+            self.emit(f"if not ({fast}): {slow}")
+        else:
+            if vc != "p":
+                fast = f"{v}.__class__ is PtrVal and {fast}"
+            h = self.tmp()
+            self.use("hof")
+            self.emit(f"if {fast}:")
+            self.emit(f" {h} = hof({v}.addr)")
+            self.emit(f" if {h} is None or not {h}.alive and "
+                      f"{h}.region == 'stack': _dead(ip, {ck}, {v}, f)")
+            self.emit(f"else: {slow}")
+        if nonnull and vc == "p" and v in self.regnames:
+            self.facts["!" + v] = ""
+
+    # -- coercion and stores -------------------------------------------
+
+    def coerce(self, v: str, vc: object, t: T.CType) -> tuple[str, object]:
+        """``Interpreter._coerce_store`` of ``v`` to ``t``."""
+        u = T.unroll(t)
+        kt = self.k(t)
+        if isinstance(u, (T.TInt, T.TEnum)):
+            p = _int_params(u)
+            if vc == p or vc == _B01:
+                return v, p
+            if _isint(vc):
+                return _wrapped(v, p), p
+            if vc == "p":
+                return _wrapped(f"{v}.addr", p), p
+            v = self.name(v)
+            return self.impure(f"{_wrapped(v, p)} if {v}.__class__ is int "
+                               f"else ip._coerce_store({v}, {kt})"), p
+        if isinstance(u, T.TFloat):
+            if vc == "f":
+                return v, vc
+            if _isint(vc):
+                return f"float({v})", "f"
+            return self.impure(f"ip._coerce_store({v}, {kt})"), "f"
+        if isinstance(u, T.TPtr):
+            if vc == "p":
+                return v, vc
+            if _isint(vc):
+                return f"PtrVal({v})", "p"
+            v = self.name(v)
+            return self.impure(f"{v} if {v}.__class__ is PtrVal "
+                               f"else ip._coerce_store({v}, {kt})"), "p"
+        return v, vc
+
+    def store(self, lv: E.Lval, v: str, vc: object) -> None:
+        """``Interpreter._write_lval`` of the coerced value ``v``."""
+        reg = self.reg(lv)
+        if reg is not None:
+            self.facts.pop(reg, None)
+            self.facts.pop("!" + reg, None)
+            last = self.lines[-1] if self.lines and not self.pst else ""
+            bind = " " * self.ind + v + " = "
+            if v.startswith("t") and last.startswith(bind):
+                # the value's temporary was bound just now: bind the
+                # register instead
+                self.lines[-1] = bind.replace(v, reg) + last[len(bind):]
+            else:
+                self.emit(f"{reg} = {v}")
+            return
+        addr, t = self.addr(lv)
+        addr = self.name(addr)
+        if self.cured and vc not in ("f", "i") and not _isint(vc):
+            v = self.name(v)
+            guard = f"{v}.addr" if vc == "p" else \
+                f"{v}.__class__ is PtrVal and {v}.addr"
+            self.settle()
+            self.emit(f"if {guard}: ip._stack_escape_check({addr}, {v}, f)")
+        self.write(addr, t, v, vc)
+
+    def reg(self, lv: E.Lval) -> Optional[str]:
+        if lv.host.__class__ is E.Var:
+            r = self.regs.get(lv.host.var.vid)
+            if r is not None:
+                return r[0]
+        return None
+
+    # -- lvalues -------------------------------------------------------
+
+    def addr(self, lv: E.Lval) -> tuple[str, T.CType]:
+        """``Interpreter._lval_location`` of a memory lvalue: the address
+        expression and the addressed type."""
+        code, t, _ = self.location(lv)
+        return code, t
+
+    def location(self, lv: E.Lval) -> tuple[str, T.CType, Optional[tuple]]:
+        """Address, addressed type and the bounds of ``&lv``: the
+        innermost fixed-length indexed array as ``(start, extent)``."""
+        host = lv.host
+        if host.__class__ is E.Var:
+            t: T.CType = host.var.type
+            base = self.var_base(host.var)
+        else:
             pt = T.unroll(host.exp.type())
             t = pt.base if isinstance(pt, T.TPtr) else T.int_t()
-            fcode, fenv = self._fetch(host.exp, 9)
-            env.update(fenv)
-            env["PtrVal"] = PtrVal
-            lines += [f"    p = {fcode}\n",
-                      "    if p.__class__ is not PtrVal:\n",
-                      "        p = PtrVal(int(p))\n"]
-            if self.cured:
-                # Defense in depth: the Check in front should have fired.
-                env["NullDereferenceError"] = NullDereferenceError
-                lines += ["    if p.addr == 0:\n",
-                          "        raise NullDereferenceError("
-                          "'null dereference', f.fundec.name)\n"]
-            base = "p.addr"
-        return "".join(lines), env, base, t
-
-    def _addr_code(self, lv: E.Lval) -> tuple[str, dict, T.CType]:
-        """Source lines computing the lvalue's address into ``addr``
-        (register hosts excluded — callers handle those first).  Field
-        offsets fold into one constant; Index offsets evaluate in chain
-        order with register/constant indices inlined."""
-        host_lines, env, base, t = self._host_code(lv)
-        lines: list[str] = [host_lines] if host_lines else []
+            p, vc = self.exp(host.exp)
+            p = self.name(p)
+            if vc != "p":
+                # a register's conversion is reused until it is stored
+                conv = self.facts.get(p)
+                if conv is None:
+                    conv = self.impure(f"{p} if {p}.__class__ is PtrVal "
+                                       f"else PtrVal(int({p}))")
+                    if p in self.regnames:
+                        self.facts[p] = conv
+                p = conv
+            if self.cured and "!" + p not in self.facts:
+                # defense in depth: the Check in front should have fired
+                self.settle()
+                self.emit(f"if {p}.addr == 0: _fail(NullDereferenceError, "
+                          f"'null dereference', fname)")
+                self.facts["!" + p] = ""
+            base = f"{p}.addr"
         const = 0
         parts: list[str] = []
-        off = lv.offset
-        n = 10
-        while not isinstance(off, E.NoOffset):
-            if isinstance(off, E.Field):
-                const += T.field_offset(off.field)
-                t = off.field.type
-            else:
-                assert isinstance(off, E.Index)
-                at = T.unroll(t)
-                assert isinstance(at, T.TArray)
-                esz = _static_sizeof(at.base)
-                idx = off.index
-                if idx.__class__ is E.Const and \
-                        isinstance(idx.value, int):
-                    const += idx.value * esz
-                else:
-                    fcode, fenv = self._fetch(idx, n)
-                    env.update(fenv)
-                    env[f"esz{n}"] = esz
-                    env["_index_slow"] = _index_slow
-                    lines += [f"    i{n} = {fcode}\n",
-                              f"    if i{n}.__class__ is not int:\n",
-                              f"        i{n} = _index_slow(i{n})\n"]
-                    parts.append(f"i{n} * esz{n}")
-                    n += 1
-                t = at.base
-            off = off.rest
-        expr = base
-        if const:
-            env["delta"] = const
-            expr += " + delta"
-        for p in parts:
-            expr += f" + {p}"
-        lines.append(f"    addr = {expr}\n")
-        return "".join(lines), env, t
-
-    def lval_addr(self, lv: E.Lval) -> tuple[Callable, T.CType]:
-        """Compile an address computation ``(ip, f) -> addr`` plus the
-        statically-known type of the addressed storage."""
-        code, env, t = self._addr_code(lv)
-        fn = _gen("def run(ip, f):\n" + code + "    return addr\n", env)
-        return fn, t
-
-    def read_lval(self, lv: E.Lval) -> Callable:
-        if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
-            vid = lv.host.var.vid
-
-            def run(ip, f):
-                return f.regs[vid]
-            return run
-        acode, aenv, t = self._addr_code(lv)
-        body = self._read_body(t)
-        if body is not None:
-            bcode, benv = body
-            return _gen("def run(ip, f):\n" + acode + bcode,
-                        {**aenv, **benv})
-        addr_fn = _gen("def run(ip, f):\n" + acode +
-                       "    return addr\n", aenv)
-        readc = self.read_mem(t)
-
-        def run(ip, f):
-            return readc(ip, addr_fn(ip, f))
-        return run
-
-    def write_lval(self, lv: E.Lval) -> Callable:
-        """Compile a store ``(ip, f, value) -> None``."""
-        if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
-            vid = lv.host.var.vid
-
-            def run(ip, f, value):
-                f.regs[vid] = value
-            return run
-        acode, aenv, t = self._addr_code(lv)
-        guard = ""
-        if self.cured:
-            aenv = {**aenv, "PtrVal": PtrVal}
-            guard = ("    if value.__class__ is PtrVal "
-                     "and value.addr != 0:\n"
-                     "        ip._stack_escape_check(addr, value, f)\n")
-        body = self._write_body(t)
-        if body is not None:
-            bcode, benv = body
-            return _gen("def run(ip, f, value):\n" + acode + guard
-                        + bcode, {**aenv, **benv})
-        addr_fn = _gen("def run(ip, f):\n" + acode +
-                       "    return addr\n", aenv)
-        writec = self.write_mem(t)
-        if self.cured:
-            def run(ip, f, value):
-                addr = addr_fn(ip, f)
-                if isinstance(value, PtrVal) and value.addr != 0:
-                    ip._stack_escape_check(addr, value, f)
-                writec(ip, addr, value)
-            return run
-
-        def run(ip, f, value):
-            writec(ip, addr_fn(ip, f), value)
-        return run
-
-    # ------------------------------------------------------------------
-    # Typed memory access (specialized on the static type)
-    # ------------------------------------------------------------------
-
-    def _ptr_slot_charges(self, u: T.TPtr,
-                          store: bool) -> tuple[int, int, int, bool]:
-        """Precompute ``Interpreter._charge_ptr_slot`` for a pointer
-        slot: (extra_cycles, wides_inc, splits_inc, wild_tag)."""
-        node = u.node
-        if node is None or not self.cured:
-            return 0, 0, 0, False
-        kind = node.kind
-        wild_tag = store and kind is PointerKind.WILD
-        if node.split:
-            ops = 0
-            if kind is PointerKind.SEQ:
-                ops = 2
-            elif kind in (PointerKind.FSEQ, PointerKind.RTTI):
-                ops = 1
-            if node.has_meta:
-                ops += 1
-            if ops:
-                return COST_SPLIT_META * ops, 0, ops, wild_tag
-            return 0, 0, 0, wild_tag
-        extra = WIDE_EXTRA_WORDS.get(kind.name, 0)
-        if extra:
-            return extra, 1, 0, wild_tag
-        return 0, 0, 0, wild_tag
-
-    def _read_body(self, t: T.CType) -> Optional[tuple[str, dict]]:
-        """Source lines loading a ``t``-typed value from ``addr`` (the
-        cost/shadow charges included); None for aggregates."""
-        u = T.unroll(t)
-        size = _static_sizeof(u)
-        words = mem_words(size) * COST_MEM_WORD
-        charge = ("    c = ip.cost\n"
-                  "    c.cycles += words\n"
-                  "    c.mems += 1\n"
-                  "    sh = ip.shadow\n"
-                  "    if sh is not None:\n"
-                  "        sh.on_read(addr, size)\n")
-        if isinstance(u, (T.TInt, T.TEnum)):
-            signed = u.kind.is_signed if isinstance(u, T.TInt) else True
-            return (charge +
-                    "    return ip.mem.read_int(addr, size, signed)\n",
-                    {"words": words, "size": size, "signed": signed})
-        if isinstance(u, T.TFloat):
-            return (charge +
-                    "    return ip.mem.read_float(addr, size)\n",
-                    {"words": words, "size": size})
-        if isinstance(u, T.TPtr):
-            cyc, wides, splits, _ = self._ptr_slot_charges(u, False)
-            env = {"words": words + cyc, "size": size,
-                   "from_meta": PtrVal.from_meta}
-            extra = ""
-            if wides:
-                env["wides"] = wides
-                extra += "    c.wides += wides\n"
-            if splits:
-                env["splits"] = splits
-                extra += "    c.splits += splits\n"
-            lines = (charge.replace("    c.mems += 1\n",
-                                    "    c.mems += 1\n" + extra)
-                     + "    value, meta = ip.mem.read_ptr(addr)\n")
-            if self.cured and u.node is not None and u.node.split:
-                # Section 4.2: SPLIT data written by a library has no
-                # shadow metadata yet; the allocator's ground truth
-                # provides sound bounds.
-                env["PtrMeta"] = PtrMeta
-                lines += (
-                    "    if meta is None and value != 0:\n"
-                    "        home = ip.mem.home_of(value)\n"
-                    "        if home is not None:\n"
-                    "            meta = PtrMeta(b=home.base, "
-                    "e=home.end)\n"
-                    "            c.cycles += 4\n"
-                    "            c.events['split:manufacture'] += 1\n")
-            return lines + "    return from_meta(value, meta)\n", env
-        return None
-
-    def _write_body(self, t: T.CType) -> Optional[tuple[str, dict]]:
-        """Source lines storing ``value`` at ``addr``; None for
-        aggregates (generic ``_write_mem`` handles those)."""
-        u = T.unroll(t)
-        size = _static_sizeof(u)
-        words = mem_words(size) * COST_MEM_WORD
-        charge = ("    c = ip.cost\n"
-                  "    c.cycles += words\n"
-                  "    c.mems += 1\n"
-                  "    sh = ip.shadow\n"
-                  "    if sh is not None:\n"
-                  "        sh.on_write(addr, size)\n")
-        if isinstance(u, (T.TInt, T.TEnum)):
-            return (charge +
-                    "    ip.mem.write_int(addr, value if "
-                    "value.__class__ is int else _as_int(value), "
-                    "size)\n",
-                    {"words": words, "size": size, "_as_int": _as_int})
-        if isinstance(u, T.TFloat):
-            return (charge +
-                    "    ip.mem.write_float(addr, _as_float(value), "
-                    "size)\n",
-                    {"words": words, "size": size,
-                     "_as_float": _as_float})
-        if isinstance(u, T.TPtr):
-            cyc, wides, splits, wild_tag = self._ptr_slot_charges(
-                u, True)
-            env = {"words": words + cyc
-                   + (COST_WILD_TAG_UPDATE if wild_tag else 0),
-                   "size": size, "PtrVal": PtrVal, "_as_int": _as_int}
-            extra = ""
-            if wides:
-                env["wides"] = wides
-                extra += "    c.wides += wides\n"
-            if splits:
-                env["splits"] = splits
-                extra += "    c.splits += splits\n"
-            if wild_tag:
-                extra += "    c.events['wild-tag'] += 1\n"
-            lines = (charge.replace("    c.mems += 1\n",
-                                    "    c.mems += 1\n" + extra)
-                     + "    v = value if value.__class__ is PtrVal "
-                     "else PtrVal(_as_int(value))\n"
-                     "    meta = v.meta()\n")
-            if self.cured:
-                # Figure 10/11: every pointer store into a tagged area
-                # sets the word's tag.
-                env["PtrMeta"] = PtrMeta
-                lines += ("    if meta is None:\n"
-                          "        meta = PtrMeta()\n")
-            return (lines + "    ip.mem.write_ptr(addr, v.addr, "
-                    "meta)\n", env)
-        return None
-
-    def read_mem(self, t: T.CType) -> Callable:
-        """Compile a typed load ``(ip, addr) -> value``."""
-        body = self._read_body(t)
-        if body is None:
-            # Aggregates and anything exotic: the generic path already
-            # handles blobs, charges and shadow hooks.
-            def run(ip, addr, _t=t):
-                return ip._read_mem(addr, _t)
-            return run
-        bcode, benv = body
-        return _gen("def run(ip, addr):\n" + bcode, benv)
-
-    def write_mem(self, t: T.CType) -> Callable:
-        """Compile a typed store ``(ip, addr, value) -> None``."""
-        body = self._write_body(t)
-        if body is None:
-            def run(ip, addr, value, _t=t):
-                ip._write_mem(addr, _t, value)
-            return run
-        bcode, benv = body
-        return _gen("def run(ip, addr, value):\n" + bcode, benv)
-
-    # ------------------------------------------------------------------
-    # Store coercion and integer wrapping (static per type)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _wrap_params(t: T.CType) -> Optional[tuple[int, int, int]]:
-        """``(mask, top, span)`` for integer wrapping at type ``t``, or
-        ``None`` for float (no wrapping).  ``top``/``span`` are 0 for
-        unsigned types."""
-        u = T.unroll(t)
-        if isinstance(u, T.TFloat):
-            return None
-        if isinstance(u, T.TInt):
-            bits = 8 * u.size()
-            signed = u.kind.is_signed
-        else:
-            bits, signed = 32, False
-        mask = (1 << bits) - 1
-        if not signed:
-            return mask, 0, 0
-        return mask, 1 << (bits - 1), 1 << bits
-
-    def wrap_for(self, t: T.CType) -> Callable:
-        """Static version of ``Interpreter._wrap_to`` for type ``t``."""
-        u = T.unroll(t)
-        if isinstance(u, T.TFloat):
-            return lambda v: v
-        if isinstance(u, T.TInt):
-            bits = 8 * u.size()
-            signed = u.kind.is_signed
-        else:
-            bits, signed = 32, False
-        mask = (1 << bits) - 1
-        if not signed:
-            def wrap(v):
-                if not isinstance(v, int):
-                    v = int(v)
-                return v & mask
-            return wrap
-        top = 1 << (bits - 1)
-        span = 1 << bits
-
-        def wrap(v):
-            if not isinstance(v, int):
-                v = int(v)
-            v &= mask
-            return v - span if v >= top else v
-        return wrap
-
-    def coerce(self, t: T.CType) -> Callable:
-        """Static version of ``Interpreter._coerce_store``."""
-        u = T.unroll(t)
-        if isinstance(u, (T.TInt, T.TEnum)):
-            wrap = self.wrap_for(t)
-            mask, top, span = self._wrap_params(t) or (0xFFFFFFFF,
-                                                       0, 0)
-            if not top:
-                def run(v):
-                    if v.__class__ is int:
-                        return v & mask
-                    if isinstance(v, PtrVal):
-                        v = v.addr
-                    elif isinstance(v, float):
-                        v = int(v)
-                    return wrap(_as_int(v))
-                return run
-
-            def run(v):
-                if v.__class__ is int:
-                    v &= mask
-                    return v - span if v >= top else v
-                if isinstance(v, PtrVal):
-                    v = v.addr
-                elif isinstance(v, float):
-                    v = int(v)
-                return wrap(_as_int(v))
-            return run
-        if isinstance(u, T.TFloat):
-            def run(v):
-                if isinstance(v, PtrVal):
-                    return float(v.addr)
-                if v is None:
-                    return 0.0
-                return float(v)
-            return run
-        if isinstance(u, T.TPtr):
-            def run(v):
-                if isinstance(v, PtrVal):
-                    return v
-                return PtrVal(_as_int(v))
-            return run
-        return lambda v: v
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-
-    def exp(self, e: E.Exp) -> Callable:
-        cls = e.__class__
-        if cls is E.Const:
-            value = e.value
-            return lambda ip, f: value
-        if cls is E.LvalExp:
-            return self.read_lval(e.lval)
-        if cls is E.BinOp:
-            return self._compile_binop(e)
-        if cls is E.CastE:
-            return self._compile_cast(e)
-        if cls is E.UnOp:
-            return self._compile_unop(e)
-        if cls is E.StrConst:
-            text = e.value
-
-            def run(ip, f):
-                home = ip.intern_string(text)
-                return PtrVal(home.base, b=home.base, e=home.end)
-            return run
-        if cls is E.SizeOfT:
-            value = _static_sizeof(e.t)
-            return lambda ip, f: value
-        if cls is E.AddrOf:
-            fast = self._compile_addrof(e.lval)
-            if fast is not None:
-                return fast
-            # Index offsets walk the chain up to three times with
-            # interleaved charges; delegate to the tree engine's exact
-            # code to keep cycle parity (cold relative to plain loads).
-            lv = e.lval
-            return lambda ip, f: ip._eval_addrof(lv, f)
-        if cls is E.StartOf:
-            fast = self._compile_startof(e.lval)
-            if fast is not None:
-                return fast
-            lv = e.lval
-            return lambda ip, f: ip._eval_startof(lv, f)
-        raise MemorySafetyError(f"cannot evaluate {e!r}")
-
-    def _charge_free(self, e: E.Exp) -> bool:
-        """Evaluating ``e`` charges no cycles and has no side effects,
-        so the tree engine may evaluate it once or three times with
-        identical cost — exactly constants and register reads."""
-        if e.__class__ is E.Const:
-            return True
-        if e.__class__ is E.LvalExp:
-            lv = e.lval
-            return (lv.host.__class__ is E.Var and
-                    lv.offset.__class__ is E.NoOffset and
-                    self._is_reg(lv.host.var))
-        return False
-
-    def _compile_addrof(self, lv: E.Lval) -> Optional[Callable]:
-        """``&lval`` compiled when every Index expression in the offset
-        chain is charge-free: the tree engine walks the chain three
-        times (location, ``_offset_delta``, the bounds walk), so a
-        charging index would be billed thrice there but once here.
-        Bounds replicate ``_bounds_for_addr``: the extent of the
-        innermost fixed-length indexed array, else the object itself."""
-        if lv.host.__class__ is E.Var:
-            var = lv.host.var
-            if T.is_function(var.type):
-                return None  # code designator: delegates (alloc stubs)
-            if self._is_reg(var):
-                return None  # tree raises its own diagnostic
-        off = lv.offset
-        while not isinstance(off, E.NoOffset):
-            if isinstance(off, E.Index) and \
-                    not self._charge_free(off.index):
-                return None
-            off = off.rest
-        host_lines, env, base, t = self._host_code(lv)
-        lines: list[str] = [host_lines] if host_lines else []
-        const = 0
-        parts: list[str] = []
-        #: innermost fixed-length indexed array: (const, #parts, extent)
-        best: Optional[tuple[int, int, int]] = None
-        n = 10
+        best: Optional[tuple] = None
         off = lv.offset
         while not isinstance(off, E.NoOffset):
             if isinstance(off, E.Field):
                 const += T.field_offset(off.field)
                 t = off.field.type
             else:
-                assert isinstance(off, E.Index)
                 at = T.unroll(t)
                 assert isinstance(at, T.TArray)
                 esz = _static_sizeof(at.base)
                 if at.length is not None:
-                    best = (const, len(parts), at.length * esz)
+                    best = (self._sum(base, const, parts),
+                            at.length * esz)
                 idx = off.index
                 if idx.__class__ is E.Const and \
-                        isinstance(idx.value, int):
+                        idx.value.__class__ is int:
                     const += idx.value * esz
                 else:
-                    fcode, fenv = self._fetch(idx, n)
-                    env.update(fenv)
-                    env[f"esz{n}"] = esz
-                    env["_index_slow"] = _index_slow
-                    lines += [f"    i{n} = {fcode}\n",
-                              f"    if i{n}.__class__ is not int:\n",
-                              f"        i{n} = _index_slow(i{n})\n"]
-                    parts.append(f"i{n} * esz{n}")
-                    n += 1
+                    i, vc = self.exp(idx)
+                    if not _isint(vc):
+                        i = self.name(i)
+                        i = self.impure(f"{i} if {i}.__class__ is int "
+                                        f"else _index_slow({i})")
+                    parts.append(i if esz == 1 else f"{i} * {esz}")
                 t = at.base
             off = off.rest
-        env["PtrVal"] = PtrVal
-        if best is None:
-            expr = base
-            if const:
-                env["delta"] = const
-                expr += " + delta"
-            for p in parts:
-                expr += " + " + p
-            env["size"] = _static_sizeof(t)
-            lines += [f"    addr = {expr}\n",
-                      "    return PtrVal(addr, b=addr, e=addr + size)\n"]
-        else:
-            bconst, bn, extent = best
-            bexpr = base
-            if bconst:
-                env["bdelta"] = bconst
-                bexpr += " + bdelta"
-            for p in parts[:bn]:
-                bexpr += " + " + p
-            aexpr = "b"
-            if const - bconst:
-                env["sdelta"] = const - bconst
-                aexpr += " + sdelta"
-            for p in parts[bn:]:
-                aexpr += " + " + p
-            env["extent"] = extent
-            lines += [f"    b = {bexpr}\n",
-                      f"    addr = {aexpr}\n",
-                      "    return PtrVal(addr, b=b, e=b + extent)\n"]
-        return _gen("def run(ip, f):\n" + "".join(lines), env)
-
-    def _compile_startof(self, lv: E.Lval) -> Optional[Callable]:
-        """Array-to-pointer decay.  The tree engine resolves the
-        location with a single offset walk (indices evaluated and
-        charged once), so any offset chain compiles directly."""
-        if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
-            return None  # tree asserts; keep its diagnostic
-        code, env, t = self._addr_code(lv)
-        at = T.unroll(t)
-        if not isinstance(at, T.TArray):
-            return None  # tree asserts; keep its diagnostic
-        env["PtrVal"] = PtrVal
-        if at.length is not None:
-            env["extent"] = at.length * _static_sizeof(at.base)
-            tail = "    return PtrVal(addr, b=addr, e=addr + extent)\n"
-        else:
-            tail = ("    home = ip.mem.home_of(addr)\n"
-                    "    return PtrVal(addr, b=addr, "
-                    "e=home.end if home else addr)\n")
-        return _gen("def run(ip, f):\n" + code + tail, env)
-
-    def _compile_unop(self, e: E.UnOp) -> Callable:
-        fcode, fenv = self._fetch(e.e, 1)
-        if e.op is E.UnopKind.LNOT:
-            src = ("def run(ip, f):\n"
-                   "    ip.cost.cycles += 1\n"
-                   f"    v = {fcode}\n"
-                   "    if v.__class__ is PtrVal:\n"
-                   "        return 0 if v.addr != 0 else 1\n"
-                   "    return 0 if v else 1\n")
-            return _gen(src, {**fenv, "PtrVal": PtrVal})
-        wrap = self.wrap_for(e.type())
-        params = self._wrap_params(e.type())
-        neg = e.op is E.UnopKind.NEG
-        if params is not None:
-            mask, top, span = params
-            if neg:
-                fast = "(-v) & mask"
-                slow = _neg_slow
-            else:
-                fast = "(~v) & mask"
-                slow = _bnot_slow
-            if top:
-                body = (f"        out = {fast}\n"
-                        "        return out - span if out >= top "
-                        "else out\n")
-            else:
-                body = f"        return {fast}\n"
-            src = ("def run(ip, f):\n"
-                   "    ip.cost.cycles += 1\n"
-                   f"    v = {fcode}\n"
-                   "    if v.__class__ is int:\n"
-                   + body +
-                   "    return slow(v, wrap)\n")
-            return _gen(src, {**fenv, "mask": mask, "top": top,
-                              "span": span, "slow": slow,
-                              "wrap": wrap})
-        sub = self.exp(e.e)
-        if neg:
-            def run(ip, f):
-                ip.cost.cycles += 1
-                v = sub(ip, f)
-                if isinstance(v, PtrVal):
-                    v = v.addr
-                return wrap(-v)  # type: ignore[operator]
-            return run
-
-        def run(ip, f):
-            ip.cost.cycles += 1
-            v = sub(ip, f)
-            if isinstance(v, PtrVal):
-                v = v.addr
-            return wrap(~_as_int(v))
-        return run
+        return self._sum(base, const, parts), t, best
 
     @staticmethod
-    def _elem_size_of(e: E.Exp) -> int:
-        bt = T.unroll(e.type())
-        return _static_sizeof(bt.base) if isinstance(bt, T.TPtr) else 1
+    def _sum(base: str, const: int, parts: list) -> str:
+        terms = [base] + ([str(const)] if const else []) + parts
+        return terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
 
-    def _compile_binop(self, e: E.BinOp) -> Callable:
+    def var_base(self, var: E.Varinfo) -> str:
+        b = self.bases.get(var.vid)
+        if b is not None:
+            return b
+        if var.is_global:
+            self.use("gh")
+            g = self.globals.setdefault(var.vid, f"g{len(self.globals)}")
+            if "!" + g not in self.facts:
+                self.settle()
+                self.emit(f"if {g} is None: _fail(LinkError, "
+                          f"{self.k(f'undefined external {var.name}')})")
+                self.facts["!" + g] = ""
+            return f"{g}.base"
+        self.settle()
+        self.emit(f"_fail(LinkError, "
+                  f"{self.k(f'variable {var.name} has no storage')})")
+        return "0"
+
+    def read(self, lv: E.Lval) -> tuple[str, object]:
+        """``Interpreter._read_lval``."""
+        if lv.host.__class__ is E.Var:
+            r = self.regs.get(lv.host.var.vid)
+            if r is not None:
+                return r
+        addr, t = self.addr(lv)
+        return self.load(addr, t)
+
+    def _slot(self, u: T.TPtr, store: bool) -> int:
+        """``Interpreter._charge_ptr_slot``: emits the wide/split/tag
+        counters, returns the cycles to charge."""
+        node = u.node
+        if node is None or not self.cured:
+            return 0
+        kind = node.kind
+        cycles = 0
+        if node.split:
+            ops = {PointerKind.SEQ: 2, PointerKind.FSEQ: 1,
+                   PointerKind.RTTI: 1}.get(kind, 0) + int(node.has_meta)
+            if ops:
+                cycles = COST_SPLIT_META * ops
+                self.emit(f"c.splits += {ops}")
+        else:
+            extra = WIDE_EXTRA_WORDS.get(kind.name, 0)
+            if extra:
+                cycles = extra * COST_MEM_WORD
+                self.emit("c.wides += 1")
+        if store and kind is PointerKind.WILD:
+            cycles += COST_WILD_TAG_UPDATE
+            self.use("ev")
+            self.emit("ev['wild-tag'] += 1")
+        return cycles
+
+    def _access(self, addr: str, size: int, hook: str) -> str:
+        """Charge one scalar access of ``size`` bytes and run the shadow
+        hook; returns ``addr`` as an atom."""
+        self.charge(mem_words(size) * COST_MEM_WORD, mems=1)
+        addr = self.name(addr)
+        if self.shadowed:
+            self.use("sh")
+            self.sync()
+            self.emit(f"sh.{hook}({addr}, {size})")
+        return addr
+
+    def load(self, addr: str, t: T.CType) -> tuple[str, object]:
+        """``Interpreter._read_mem`` specialized on the static type."""
+        u = T.unroll(t)
+        size = _static_sizeof(u)
+        if isinstance(u, (T.TInt, T.TEnum)):
+            addr = self._access(addr, size, "on_read")
+            signed = u.kind.is_signed if isinstance(u, T.TInt) else True
+            self.use("rdi")
+            bits = 8 * size
+            return (self.impure(f"rdi({addr}, {size}, {signed})"),
+                    ((1 << bits) - 1, (1 << (bits - 1)) if signed else 0))
+        if isinstance(u, T.TFloat):
+            addr = self._access(addr, size, "on_read")
+            self.use("rdf")
+            return self.impure(f"rdf({addr}, {size})"), "f"
+        if isinstance(u, T.TPtr):
+            addr = self._access(addr, size, "on_read")
+            self.charge(self._slot(u, False))
+            self.settle()
+            self.use("rdp")
+            v, m = self.tmp(), self.tmp()
+            self.emit(f"{v}, {m} = rdp({addr})")
+            if self.cured and u.node is not None and u.node.split:
+                self.emit(f"if {m} is None and {v} != 0: "
+                          f"{m} = _split_meta(ip, {v})")
+            return (f"(PtrVal({v}) if {m} is None else PtrVal({v}, {m}.b, "
+                    f"{m}.e, {m}.rtti, {m}.key))"), "p"
+        if self.shadowed:
+            self.sync()
+        return self.impure(f"ip._read_mem({addr}, {self.k(t)})"), None
+
+    def write(self, addr: str, t: T.CType, v: str, vc: object) -> None:
+        """``Interpreter._write_mem`` specialized on the static type."""
+        u = T.unroll(t)
+        size = _static_sizeof(u)
+        if isinstance(u, (T.TInt, T.TEnum)):
+            addr = self._access(addr, size, "on_write")
+            if not _isint(vc):
+                v = self.impure(f"_as_int({v})")
+            self.settle()
+            self.use("wri")
+            self.emit(f"wri({addr}, {v}, {size})")
+        elif isinstance(u, T.TFloat):
+            addr = self._access(addr, size, "on_write")
+            if vc != "f":
+                v = self.impure(f"_as_float({v})")
+            self.settle()
+            self.use("wrf")
+            self.emit(f"wrf({addr}, {v}, {size})")
+        elif isinstance(u, T.TPtr):
+            addr = self._access(addr, size, "on_write")
+            self.charge(self._slot(u, True))
+            if vc != "p":
+                v = self.name(v)
+                v = self.impure(f"{v} if {v}.__class__ is PtrVal "
+                                f"else PtrVal(_as_int({v}))")
+            v = self.name(v)
+            # Figure 10/11: cured, every pointer store sets the word's tag
+            meta = f"{v}.meta() or PtrMeta()" if self.cured \
+                else f"{v}.meta()"
+            self.settle()
+            self.use("wrp")
+            self.emit(f"wrp({addr}, {v}.addr, {meta})")
+        else:
+            if self.shadowed:
+                self.sync()
+            self.settle()
+            self.emit(f"ip._write_mem({addr}, {self.k(t)}, {v})")
+
+    # -- expressions ---------------------------------------------------
+
+    def exp(self, e: E.Exp) -> tuple[str, object]:
+        """A pure expression computing ``e`` (impure parts emitted as
+        statements first) and its static value class."""
+        code, vc = self._exp(e)
+        return self.shallow(code), vc
+
+    def shallow(self, code: str) -> str:
+        """``code``, bound to a temporary past ``_MAX_PARENS``."""
+        return self.name(code) if code.count("(") > _MAX_PARENS else code
+
+    def _exp(self, e: E.Exp) -> tuple[str, object]:
+        cls = e.__class__
+        if cls is E.Const:
+            v = e.value
+            if v.__class__ is int:
+                return _lit(v), "i"
+            return self.k(v), "f" if v.__class__ is float else None
+        if cls is E.LvalExp:
+            return self.read(e.lval)
+        if cls is E.BinOp:
+            return self.binop(e)
+        if cls is E.CastE:
+            return self.cast(e)
+        if cls is E.UnOp:
+            return self.unop(e)
+        if cls is E.StrConst:
+            return self.impure(f"ip._ev_str({self.k(e)}, f)"), "p"
+        if cls is E.SizeOfT:
+            return str(_static_sizeof(e.t)), "i"
+        if cls is E.AddrOf:
+            return self.addrof(e.lval)
+        if cls is E.StartOf:
+            return self.startof(e.lval)
+        self.settle()
+        self.emit(f"_fail(MemorySafetyError, "
+                  f"{self.k(f'cannot evaluate {e!r}')})")
+        return "None", None
+
+    def truth(self, e: E.Exp) -> str:
+        """A pure condition testing ``e`` as the tree walker's
+        ``_truthy``."""
+        if e.__class__ is E.BinOp and e.op in E.COMPARISONS:
+            return self.shallow(self.binop(e, truth=True)[0])
+        if e.__class__ is E.UnOp and e.op is E.UnopKind.LNOT:
+            return self.shallow(self.unop(e, truth=True)[0])
+        return self._truthy(*self.exp(e))
+
+    def _truthy(self, v: str, vc: object) -> str:
+        if vc == "p":
+            return f"{v}.addr"
+        if vc == "f" or _isint(vc):
+            return v
+        v = self.name(v)
+        return f"({v}.addr if {v}.__class__ is PtrVal else {v})"
+
+    @staticmethod
+    def _int_form(v: str, vc: object) -> Optional[str]:
+        """``v`` as a known exact int, if its class allows."""
+        if vc == "p":
+            value = _lit_value(v[7:-1]) if v.startswith("PtrVal(") else None
+            return f"{v}.addr" if value is None else _lit(value & 0xFFFFFFFF)
+        return v if _isint(vc) else None
+
+    def _tests(self, *ops: tuple[str, object]) -> str:
+        return " and ".join(f"{v}.__class__ is int" for v, vc in ops
+                            if vc is None)
+
+    def binop(self, e: E.BinOp, truth: bool = False) -> tuple[str, object]:
+        """``Interpreter._eval_binop``."""
+        B = E.BinopKind
         op = e.op
-        f1, env1 = self._fetch(e.e1, 1)
-        f2, env2 = self._fetch(e.e2, 2)
-        head = ("def run(ip, f):\n"
-                "    ip.cost.cycles += 1\n"
-                f"    v1 = {f1}\n"
-                f"    v2 = {f2}\n")
-        if op is E.BinopKind.PLUS_PI or op is E.BinopKind.MINUS_PI:
-            esz = self._elem_size_of(e.e1)
-            mult = esz if op is E.BinopKind.PLUS_PI else -esz
-            src = (head +
-                   "    p = v1 if v1.__class__ is PtrVal else "
-                   "PtrVal(_as_int(v1))\n"
-                   "    if v2.__class__ is int:\n"
-                   "        return p.with_addr(p.addr + v2 * mult)\n"
-                   "    return p.with_addr(p.addr + _as_int(v2) "
-                   "* mult)\n")
-            return _gen(src, {**env1, **env2, "PtrVal": PtrVal,
-                              "_as_int": _as_int, "mult": mult})
-        if op is E.BinopKind.MINUS_PP:
-            esz = self._elem_size_of(e.e1)
-            src = (head +
-                   "    a1 = v1.addr if v1.__class__ is PtrVal "
-                   "else _as_int(v1)\n"
-                   "    a2 = v2.addr if v2.__class__ is PtrVal "
-                   "else _as_int(v2)\n"
-                   "    return (a1 - a2) // esz\n")
-            return _gen(src, {**env1, **env2, "PtrVal": PtrVal,
-                              "_as_int": _as_int, "esz": esz})
+        self.charge(1)
+        a, va = self.exp(e.e1)
+        b, vb = self.exp(e.e2)
+        if op is B.PLUS_PI or op is B.MINUS_PI or op is B.MINUS_PP:
+            bt = T.unroll(e.e1.type())
+            esz = _static_sizeof(bt.base) if isinstance(bt, T.TPtr) else 1
+            a, b = self.name(a), self.name(b)
+            if op is B.MINUS_PP:
+                if va == "p" and vb == "p":
+                    return f"(({a}.addr - {b}.addr) // {esz})", "i"
+                return self.impure(f"_pp_slow({a}, {b}, {esz})"), "i"
+            mult = esz if op is B.PLUS_PI else -esz
+            if va == "p" and _isint(vb):
+                return (f"PtrVal({a}.addr + {b} * {mult}, {a}.b, {a}.e, "
+                        f"{a}.rtti, {a}.key)"), "p"
+            return self.impure(f"_pi_slow({a}, {b}, {mult})"), "p"
+        x, y = _lit_value(a), _lit_value(b)
+        if x is not None and y is not None and (
+                op in E.COMPARISONS or op in _INT_OPS and not (
+                    y == 0 and op in (B.DIV, B.MOD))
+                and not isinstance(T.unroll(e.type()), T.TFloat)):
+            if op in E.COMPARISONS:
+                return _lit(int(_CMP_OPS[op](x, y))), _B01
+            p = _int_params(e.type())
+            return _lit(_wrap(_INT_OPS[op](x, y), *p)), p
+        kop = self.k(op)
         if op in E.COMPARISONS:
-            # fast path: two plain ints (bool falls through, so the
-            # subclass-sensitive slow path keeps tree semantics)
-            sym = _CMP_SYM[op]
-            src = (head +
-                   "    if v1.__class__ is int and "
-                   "v2.__class__ is int:\n"
-                   f"        return 1 if v1 {sym} v2 else 0\n"
-                   "    return _cmp_slow(v1, v2, cmpf)\n")
-            return _gen(src, {**env1, **env2, "_cmp_slow": _cmp_slow,
-                              "cmpf": _CMP_OPS[op]})
-        rt = T.unroll(e.type())
-        if isinstance(rt, T.TFloat):
-            fop = _FLOAT_OPS.get(op)
-            if fop is None:
-                return lambda ip, f: ip._eval_binop(e, f)
-            src = (head +
-                   "    if v1.__class__ is PtrVal:\n"
-                   "        v1 = v1.addr\n"
-                   "    if v2.__class__ is PtrVal:\n"
-                   "        v2 = v2.addr\n"
-                   "    try:\n"
-                   "        return fop(_as_float(v1), _as_float(v2))\n"
-                   "    except ZeroDivisionError:\n"
-                   "        raise ProgramAbort('floating division by "
-                   "zero')\n")
-            return _gen(src, {**env1, **env2, "fop": fop,
-                              "_as_float": _as_float, "PtrVal": PtrVal,
-                              "ProgramAbort": ProgramAbort})
-        iop = _INT_OPS.get(op)
-        if iop is None:
-            return lambda ip, f: ip._eval_binop(e, f)
-        wrap = self.wrap_for(e.type())
-        params = self._wrap_params(e.type())
-        expr = _INT_EXPR.get(op)
-        if params is not None and expr is not None:
-            mask, top, span = params
-            fast_expr, may_raise = expr
-            if top:
-                result = ("out = (" + fast_expr + ") & mask\n"
-                          "{i}return out - span if out >= top "
-                          "else out\n")
-            else:
-                result = "return (" + fast_expr + ") & mask\n"
-            if may_raise:
-                fast = ("        try:\n"
-                        "            " + result.format(i="            ")
-                        + "        except ZeroDivisionError:\n"
-                        "            raise ProgramAbort('integer "
-                        "division by zero')\n")
-            else:
-                fast = "        " + result.format(i="        ")
-            src = (head +
-                   "    if v1.__class__ is int and "
-                   "v2.__class__ is int:\n"
-                   + fast +
-                   "    return _binop_slow(v1, v2, iop, wrap)\n")
-            return _gen(src, {**env1, **env2,
-                              "_binop_slow": _binop_slow, "iop": iop,
-                              "wrap": wrap, "mask": mask, "top": top,
-                              "span": span,
-                              "ProgramAbort": ProgramAbort})
+            a, b = self.name(a), self.name(b)
+            fa, fb = self._int_form(a, va), self._int_form(b, vb)
+            if fa is not None and fb is not None or va == vb == "f":
+                cond = f"({fa or a} {op.value} {fb or b})"
+                return (cond, _B01) if truth else \
+                    (f"(1 if {cond} else 0)", _B01)
+            slow = f"ip._compare({kop}, {a}, {b})"
+            test = self._tests((a, va), (b, vb))
+            if "f" in (va, vb) or "p" in (va, vb) or not test:
+                return self.impure(slow), _B01
+            return self.impure(f"(1 if {fa or a} {op.value} {fb or b} "
+                               f"else 0) if {test} else {slow}"), _B01
+        if isinstance(T.unroll(e.type()), T.TFloat):
+            slow = f"_float_slow({a}, {b}, {kop})"
+            if va == vb == "f" and op in (B.ADD, B.SUB, B.MUL):
+                return f"({a} {op.value} {b})", "f"
+            if va == vb == "f" and op is B.DIV:
+                a, b = self.name(a), self.name(b)
+                return self.impure(f"{a} / {b} if {b} else "
+                                   f"_float_slow({a}, {b}, {kop})"), "f"
+            return self.impure(slow), "f"
+        p = _int_params(e.type())
+        a, b = self.name(a), self.name(b)
+        slow = f"_binop_slow({a}, {b}, {kop}, {p[0]}, {p[1]})"
+        fa, fb = self._int_form(a, va), self._int_form(b, vb)
+        if op not in _INT_OPS or "f" in (va, vb):
+            return self.impure(slow), p
+        test = self._tests((a, va), (b, vb))
+        fa, fb = fa or a, fb or b
+        if op is B.DIV:
+            expr = f"int({fa} / {fb})"
+        elif op is B.MOD:
+            expr = f"{fa} - int({fa} / {fb}) * {fb}"
+        elif op is B.SHL or op is B.SHR:
+            expr = f"{fa} {op.value} ({fb} & 63)"
+        else:
+            expr = f"{fa} {op.value} {fb}"
+        fast = _wrapped(expr, p)
+        if op is B.DIV or op is B.MOD:
+            if not _lit_value(fb):
+                test = f"{test} and {fb}" if test else fb
+        if not test:
+            return fast, p
+        return self.impure(f"{fast} if {test} else {slow}"), p
 
-        src = head + "    return _binop_slow(v1, v2, iop, wrap)\n"
-        return _gen(src, {**env1, **env2, "_binop_slow": _binop_slow,
-                          "iop": iop, "wrap": wrap})
+    def unop(self, e: E.UnOp, truth: bool = False) -> tuple[str, object]:
+        """``Interpreter._eval_unop``."""
+        self.charge(1)
+        if e.op is E.UnopKind.LNOT:
+            t = self.truth(e.e)
+            return (f"(not {t})", _B01) if truth else \
+                (f"(0 if {t} else 1)", _B01)
+        v, vc = self.exp(e.e)
+        neg = e.op is E.UnopKind.NEG
+        if isinstance(T.unroll(e.type()), T.TFloat):
+            if neg and vc == "f":
+                return f"(-{v})", "f"
+            return self.impure(f"_unop_slow({v}, {neg}, None, 0)"), None
+        p = _int_params(e.type())
+        iv = self._int_form(v, vc)
+        if iv is not None:
+            return _wrapped(f"-{iv}" if neg else f"~{iv}", p), p
+        v = self.name(v)
+        return self.impure(
+            f"{_wrapped(f'-{v}' if neg else f'~{v}', p)} if "
+            f"{v}.__class__ is int else "
+            f"_unop_slow({v}, {neg}, {p[0]}, {p[1]})"), p
 
-    def _compile_cast(self, e: E.CastE) -> Callable:
-        fcode, fenv = self._fetch(e.e, 1)
-        head = ("def run(ip, f):\n"
-                "    ip.cost.cycles += 1\n"
-                f"    v = {fcode}\n")
+    def cast(self, e: E.CastE) -> tuple[str, object]:
+        """``Interpreter._eval_cast``."""
+        self.charge(1)
+        v, vc = self.exp(e.e)
         target = T.unroll(e.t)
         if isinstance(target, (T.TInt, T.TEnum)):
-            wrap = self.wrap_for(e.t)
-            mask, top, span = self._wrap_params(e.t) or (0xFFFFFFFF,
-                                                         0, 0)
-            if not top:
-                body = "        return v & mask\n"
-            else:
-                body = ("        v = v & mask\n"
-                        "        return v - span if v >= top else v\n")
-            src = (head +
-                   "    if v.__class__ is int:\n" + body +
-                   "    return _cast_int_slow(v, wrap)\n")
-            return _gen(src, {**fenv, "mask": mask, "top": top,
-                              "span": span, "wrap": wrap,
-                              "_cast_int_slow": _cast_int_slow})
+            p = _int_params(target)
+            if vc == p or vc == _B01:
+                return v, p
+            iv = self._int_form(v, vc)
+            if iv is not None:
+                return _wrapped(iv, p), p
+            v = self.name(v)
+            return self.impure(f"{_wrapped(v, p)} if {v}.__class__ is int "
+                               f"else _cast_int_slow({v}, {p[0]}, {p[1]})"
+                               ), p
         if isinstance(target, T.TFloat):
-            src = (head +
-                   "    return _as_float(v.addr if v.__class__ is "
-                   "PtrVal else v)\n")
-            return _gen(src, {**fenv, "_as_float": _as_float,
-                              "PtrVal": PtrVal})
-        if isinstance(target, T.TPtr):
-            env = {**fenv, "PtrVal": PtrVal}
-            if self.cured:
-                kind = target.kind
-                if kind in (PointerKind.SEQ, PointerKind.FSEQ):
-                    env["size"] = _static_sizeof(target.base)
-                    src = (head +
-                           "    if v.__class__ is not PtrVal:\n"
-                           "        return PtrVal(int(v))\n"
-                           "    if v.b is None and v.addr != 0:\n"
-                           "        return PtrVal(v.addr, b=v.addr, "
-                           "e=v.addr + size, rtti=v.rtti, "
-                           "key=v.key)\n"
-                           "    return v\n")
-                    return _gen(src, env)
-                if kind is PointerKind.RTTI:
-                    env.update(caste=e, target=target)
-                    src = (head +
-                           "    if v.__class__ is not PtrVal:\n"
-                           "        return PtrVal(int(v))\n"
-                           "    return ip._cured_ptr_cast(v, caste, "
-                           "target)\n")
-                    return _gen(src, env)
-            src = (head +
-                   "    if v.__class__ is PtrVal:\n"
-                   "        return v\n"
-                   "    return PtrVal(int(v))\n")
-            return _gen(src, env)
-        return _gen(head + "    return v\n", fenv)
+            if vc == "f":
+                return v, vc
+            iv = self._int_form(v, vc)
+            if iv is not None:
+                return f"float({iv})", "f"
+            v = self.name(v)
+            return self.impure(f"_as_float({v}.addr if {v}.__class__ is "
+                               f"PtrVal else {v})"), "f"
+        if not isinstance(target, T.TPtr):
+            return v, vc
+        if _isint(vc):
+            return f"PtrVal({v})", "p"
+        v = self.name(v)
+        kind = target.kind if self.cured else None
+        if kind is PointerKind.RTTI:
+            cast = f"ip._cured_ptr_cast({v}, {self.k(e)}, {self.k(target)})"
+        elif kind in (PointerKind.SEQ, PointerKind.FSEQ):
+            cast = (f"({v} if {v}.b is not None or {v}.addr == 0 else "
+                    f"PtrVal({v}.addr, {v}.addr, {v}.addr + "
+                    f"{_static_sizeof(target.base)}, {v}.rtti, {v}.key))")
+        else:
+            cast = v
+        if vc == "p":
+            return (self.impure(cast) if kind is PointerKind.RTTI
+                    else cast), "p"
+        return self.impure(f"{cast} if {v}.__class__ is PtrVal "
+                           f"else PtrVal(int({v}))"), "p"
+
+    def addrof(self, lv: E.Lval) -> tuple[str, object]:
+        """``Interpreter._eval_addrof``: a location walk, then a bounds
+        walk that evaluates the offset chain's indices twice more."""
+        if lv.host.__class__ is E.Var:
+            var = lv.host.var
+            if T.is_function(var.type):
+                return self.impure(f"ip._func_addr({self.k(var.name)})"), "p"
+            if var.vid in self.regs:
+                self.settle()
+                self.emit(f"_fail(MemorySafetyError, {self.k(REG_ADDR_MSG)})")
+                return "None", None
+        addr, t, best = self.location(lv)
+        for _ in range(2):
+            off = lv.offset
+            while not isinstance(off, E.NoOffset):
+                if isinstance(off, E.Index):
+                    self.exp(off.index)
+                off = off.rest
+        a = self.name(addr)
+        if best is None:
+            return f"PtrVal({a}, {a}, {a} + {_static_sizeof(t)})", "p"
+        start = self.name(best[0])
+        return f"PtrVal({a}, {start}, {start} + {best[1]})", "p"
+
+    def startof(self, lv: E.Lval) -> tuple[str, object]:
+        """``Interpreter._eval_startof``: array-to-pointer decay."""
+        at = None
+        if self.reg(lv) is None:
+            addr, t = self.addr(lv)
+            at = T.unroll(t)
+        if not isinstance(at, T.TArray):
+            self.settle()
+            self.emit("_fail(AssertionError)")
+            return "None", None
+        a = self.name(addr)
+        if at.length is not None:
+            return (f"PtrVal({a}, {a}, "
+                    f"{a} + {at.length * _static_sizeof(at.base)})"), "p"
+        h = self.tmp()
+        self.use("hof")
+        self.emit(f"{h} = hof({a})")
+        return f"PtrVal({a}, {a}, {h}.end if {h} else {a})", "p"

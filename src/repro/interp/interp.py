@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cil import expr as E
 from repro.cil import stmt as S
@@ -65,11 +65,16 @@ class _Return(Exception):
 
 
 class Frame:
+    """One C call frame.  ``regs`` holds the register variables on the
+    tree engine; generated functions keep them in Python locals and
+    leave it ``None``."""
+
     __slots__ = ("fundec", "regs", "homes", "frame_id")
 
-    def __init__(self, fundec: S.Fundec, frame_id: int) -> None:
+    def __init__(self, fundec: S.Fundec, frame_id: int,
+                 regs: Optional[dict] = None) -> None:
         self.fundec = fundec
-        self.regs: dict[int, object] = {}
+        self.regs = regs
         self.homes: dict[int, Home] = {}
         self.frame_id = frame_id
 
@@ -105,9 +110,9 @@ def _is_register_type(t: T.CType) -> bool:
     return T.is_scalar(T.unroll(t))
 
 
-#: execution engines: "closures" compiles each function body to nested
-#: Python closures once (fast, the default); "tree" walks the CIL tree
-#: per step (the differential-testing oracle).
+#: execution engines: "closures" generates one Python function per C
+#: function once (fast, the default; see repro.interp.compile); "tree"
+#: walks the CIL tree per step (the differential-testing oracle).
 ENGINES = ("closures", "tree")
 
 
@@ -135,8 +140,8 @@ class Interpreter:
         self._use_closures = engine == "closures"
         if self._use_closures:
             # imported lazily: compile.py imports this module
-            from repro.interp.compile import compiled_body
-            self._compiled_body = compiled_body
+            from repro.interp.compile import compiled_function
+            self._compiled_function = compiled_function
         self.stdout_limit = stdout_limit
         self.prog = prog
         self.cured_prog = cured
@@ -167,6 +172,10 @@ class Interpreter:
         self.max_steps = max_steps
         self.steps = 0
         self.detect_uninit = detect_uninit
+        # Poison register pointer locals so a use before any assignment
+        # trips UninitializedError instead of silently reading as NULL.
+        self._zero_ptr = PtrVal(POISON_ADDR) if detect_uninit \
+            and self.cured else NULL
         #: per-check-site hit counters (site id -> executions), filled
         #: only when a mapping is supplied — the observability layer's
         #: histogram.  ``None`` keeps both engines on their fast path.
@@ -193,9 +202,9 @@ class Interpreter:
         self.rand_state = 1
         self._frames: list[Frame] = []
         self._frame_counter = 0
-        #: per-Fundec call plans (body runner + formal/local binding
-        #: recipe), keyed by id(fd); fds stay alive via self.functions
-        self._call_plans: dict[int, tuple] = {}
+        #: per-Fundec entry points ``run(ip, fd, args)``, keyed by id(fd);
+        #: fds stay alive via self.functions
+        self._call_plans: dict[int, Callable] = {}
         self._str_homes: dict[str, Home] = {}
         # functions and their code addresses
         self.functions: dict[str, S.Fundec] = dict(prog.functions)
@@ -272,7 +281,8 @@ class Interpreter:
             return self._frames[-1].fundec.name
         return None
 
-    def _sizeof(self, t: T.CType) -> int:
+    @staticmethod
+    def _sizeof(t: T.CType) -> int:
         size = getattr(t, "_csize_cache", None)
         if size is not None:
             return size
@@ -503,10 +513,17 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def run(self, args: Optional[Sequence[str]] = None) -> ExecResult:
+        """Run ``main``.  A trap, abort or limit escaping the run carries
+        the output printed before it as ``exc.stdout``."""
         with TRACER.span("exec", engine=self.engine,
                          mode="cured" if self.cured else "raw",
                          program=self.prog.name):
-            return self._run_main(args)
+            try:
+                return self._run_main(args)
+            except (MemorySafetyError, SegmentationFault, ProgramAbort,
+                    InterpreterLimitError) as exc:
+                exc.stdout = self.stdout_text()  # type: ignore[attr-defined]
+                raise
 
     def _run_main(self,
                   args: Optional[Sequence[str]] = None) -> ExecResult:
@@ -550,13 +567,47 @@ class Interpreter:
     def _call_fundec(self, fd: S.Fundec, args: list[object]) -> object:
         if len(self._frames) >= self.MAX_CALL_DEPTH:
             raise InterpreterLimitError("call depth exceeded")
-        plan = self._call_plans.get(id(fd))
-        if plan is None:
-            plan = self._build_call_plan(fd)
-            self._call_plans[id(fd)] = plan
-        body, formals, reg_locals, home_locals = plan
+        run = self._call_plans.get(id(fd))
+        if run is None:
+            run = self._call_plans[id(fd)] = self._build_call_plan(fd)
+        return run(self, fd, args)
+
+    def _build_call_plan(self, fd: S.Fundec) -> Callable:
+        """The entry point ``run(ip, fd, args)`` of ``fd``: its generated
+        function (closures engine, generated once per tree and mode), or
+        a tree-walking runner over a binding recipe holding the
+        register/home decision, zero value, home size and label of every
+        formal and local — all static per variable for this execution
+        (``address_taken`` only changes during curing, which happens
+        before any Interpreter exists).  Register locals never allocate,
+        so splitting them out preserves the stack layout."""
+        if self._use_closures:
+            return self._compiled_function(fd, (
+                self.cured, self.shadow is not None,
+                self.cured and self.site_hits is not None))
+        formals = []
+        for v in fd.formals:
+            if _is_register_type(v.type) and not v.address_taken:
+                formals.append((v.vid, True, 0, "", v.type))
+            else:
+                formals.append((v.vid, False, self._sizeof(v.type),
+                                f"{fd.name}:{v.name}", v.type))
+        reg_locals = []
+        home_locals = []
+        for v in fd.locals:
+            if _is_register_type(v.type) and not v.address_taken:
+                reg_locals.append((v.vid, self._zero_of(v.type)))
+            else:
+                home_locals.append((v.vid, self._sizeof(v.type),
+                                    f"{fd.name}:{v.name}"))
+        plan = (tuple(formals), tuple(reg_locals), tuple(home_locals))
+        return lambda ip, fd, args: ip._call_tree(fd, plan, args)
+
+    def _call_tree(self, fd: S.Fundec, plan: tuple,
+                   args: list[object]) -> object:
+        formals, reg_locals, home_locals = plan
         self._frame_counter += 1
-        frame = Frame(fd, self._frame_counter)
+        frame = Frame(fd, self._frame_counter, {})
         self._frames.append(frame)
         regs = frame.regs
         homes = frame.homes
@@ -581,7 +632,7 @@ class Interpreter:
                 home.frame_id = fid
                 homes[vid] = home
             try:
-                body(self, frame)
+                self._exec_block(fd.body, frame)
             except _Return as r:
                 return r.value
             return 0
@@ -593,50 +644,12 @@ class Interpreter:
                 # frame pop invalidates the lock, like free does
                 locks.release(home.lock_slot)
 
-    def _build_call_plan(self, fd: S.Fundec) -> tuple:
-        """The per-function call recipe: a body runner plus the
-        register/home decision, zero value, home size and label of
-        every formal and local — all static per variable for this
-        execution (``address_taken`` only changes during curing, which
-        happens before any Interpreter exists).  Register locals never
-        allocate, so splitting them out preserves the stack layout."""
-        if self._use_closures:
-            # compiled once per (tree, mode); cached weakly
-            body = self._compiled_body(fd, self.cured)
-        else:
-            blk = fd.body
-
-            def body(ip: "Interpreter", frame: Frame) -> None:
-                ip._exec_block(blk, frame)
-        formals = []
-        for v in fd.formals:
-            if _is_register_type(v.type) and not v.address_taken:
-                formals.append((v.vid, True, 0, "", v.type))
-            else:
-                formals.append((v.vid, False, self._sizeof(v.type),
-                                f"{fd.name}:{v.name}", v.type))
-        reg_locals = []
-        home_locals = []
-        for v in fd.locals:
-            if _is_register_type(v.type) and not v.address_taken:
-                reg_locals.append((v.vid, self._zero_of(v.type)))
-            else:
-                home_locals.append((v.vid, self._sizeof(v.type),
-                                    f"{fd.name}:{v.name}"))
-        return (body, tuple(formals), tuple(reg_locals),
-                tuple(home_locals))
-
     def _zero_of(self, t: T.CType) -> object:
         u = T.unroll(t)
         if isinstance(u, T.TFloat):
             return 0.0
         if isinstance(u, T.TPtr):
-            if self.detect_uninit and self.cured:
-                # Poison register pointer locals so a use before any
-                # assignment trips UninitializedError instead of
-                # silently reading as NULL.
-                return PtrVal(POISON_ADDR)
-            return NULL
+            return self._zero_ptr
         return 0
 
     def call_function_value(self, fn: PtrVal,
@@ -651,7 +664,7 @@ class Interpreter:
     def _dispatch_call(self, name: Optional[str], fnval: Optional[PtrVal],
                        args: list[object],
                        instr: Optional[S.Call],
-                       frame: Optional[Frame]) -> object:
+                       caller: Optional[str]) -> object:
         if name is None and fnval is not None:
             name = self._addr_to_func.get(fnval.addr)
             if name is None:
@@ -661,8 +674,7 @@ class Interpreter:
         # wrapper redirection: calls to a wrapped library function go
         # to the wrapper, except from inside the wrapper itself.
         wrapper = self.wrapper_of.get(name)
-        if wrapper is not None and (frame is None
-                                    or frame.fundec.name != wrapper):
+        if wrapper is not None and caller != wrapper:
             return self._call_fundec(self.functions[wrapper], args)
         if name in self.functions:
             return self._call_fundec(self.functions[name], args)
@@ -795,7 +807,8 @@ class Interpreter:
             fv = self.eval(i.fn, frame)
             fnval = fv if isinstance(fv, PtrVal) else PtrVal(
                 int(fv))  # type: ignore[arg-type]
-        ret = self._dispatch_call(name, fnval, args, i, frame)
+        ret = self._dispatch_call(name, fnval, args, i,
+                                  frame.fundec.name)
         if i.ret is not None:
             self._write_lval(i.ret, frame,
                              self._coerce_store(ret,
@@ -854,15 +867,31 @@ class Interpreter:
 
     def _exec_check_kind(self, c: S.Check, frame: Frame) -> None:
         self.cost.charge_check(c.kind)
+        if c.kind not in _NO_ARG_CHECKS:
+            self._check_value(c, self.eval(c.args[0], frame), frame)
+
+    def _check_value(self, c: S.Check, arg: object, frame: Frame) -> None:
+        """Check ``c`` against its evaluated argument (both engines: the
+        generated code inlines the passing case of the common kinds and
+        calls this for everything else)."""
         K = S.CheckKind
+        if c.kind is K.INDEX:
+            idx = arg.addr if isinstance(arg, PtrVal) else int(
+                arg)  # type: ignore[arg-type]
+            length = c.size or 0
+            if not (0 <= idx < length):
+                raise BoundsError(
+                    f"array index {idx} out of bounds [0, {length})",
+                    frame.fundec.name)
+            return
+        v = arg if isinstance(arg, PtrVal) else PtrVal(
+            int(arg))  # type: ignore[arg-type]
         if c.kind is K.NULL:
-            v = self._ptr_arg(c, frame)
             if v.is_null:
                 raise NullDereferenceError("null dereference",
                                            frame.fundec.name)
             self._check_alive(v, frame)
         elif c.kind in (K.SEQ_BOUNDS, K.SEQ_TO_SAFE):
-            v = self._ptr_arg(c, frame)
             if c.kind is K.SEQ_TO_SAFE and v.is_null:
                 return  # null survives the conversion (Figure 11)
             if v.is_null:
@@ -881,7 +910,6 @@ class Interpreter:
                     frame.fundec.name)
             self._check_alive(v, frame)
         elif c.kind is K.FSEQ_BOUNDS:
-            v = self._ptr_arg(c, frame)
             if v.is_null:
                 raise NullDereferenceError("null FSEQ dereference",
                                            frame.fundec.name)
@@ -896,13 +924,9 @@ class Interpreter:
                     f"FSEQ bounds: 0x{v.addr:x} not below "
                     f"0x{v.e:x} - {size}", frame.fundec.name)
             self._check_alive(v, frame)
-        elif c.kind is K.SAFE_TO_SEQ:
-            pass  # manufactures bounds; cost only
         elif c.kind is K.ALIVE:
-            v = self._ptr_arg(c, frame)
             self._check_temporal(v, frame)
         elif c.kind is K.WILD_BOUNDS:
-            v = self._ptr_arg(c, frame)
             if v.is_null:
                 raise NullDereferenceError("null WILD dereference",
                                            frame.fundec.name)
@@ -921,22 +945,17 @@ class Interpreter:
                     f"{home.name or 'area'}", frame.fundec.name)
             self._check_alive(v, frame)
         elif c.kind is K.WILD_READ_TAG:
-            v = self._ptr_arg(c, frame)
             if not self.mem.has_ptr_tag(v.addr):
                 raise WildTagError(
                     "WILD read: tag says the word is not a pointer",
                     frame.fundec.name)
-        elif c.kind is K.STORE_STACK_PTR:
-            pass  # enforced at the store itself; charged here
         elif c.kind is K.RTTI_CAST:
-            v = self._ptr_arg(c, frame)
             if v.is_null:
                 return
             assert c.rtti is not None and self.hierarchy is not None
             target = self.hierarchy.rtti_of(c.rtti)
             self._rtti_check(v, target, frame)
         elif c.kind is K.FUNPTR:
-            v = self._ptr_arg(c, frame)
             if v.is_null:
                 raise NullDereferenceError("null function pointer",
                                            frame.fundec.name)
@@ -944,15 +963,6 @@ class Interpreter:
                 raise WildTagError(
                     "function pointer does not point to a function",
                     frame.fundec.name)
-        elif c.kind is K.INDEX:
-            idx = self._int_arg(c, frame)
-            length = c.size or 0
-            if not (0 <= idx < length):
-                raise BoundsError(
-                    f"array index {idx} out of bounds [0, {length})",
-                    frame.fundec.name)
-        elif c.kind in (K.VERIFY_NUL, K.VERIFY_SIZE):
-            pass  # performed inside wrappers
 
     def _rtti_check(self, v: PtrVal, target: int,
                     frame: Frame) -> None:
@@ -1040,20 +1050,6 @@ class Interpreter:
             raise StackEscapeError(
                 f"dereference of dead stack storage "
                 f"({home.name})", frame.fundec.name)
-
-    def _ptr_arg(self, c: S.Check, frame: Frame) -> PtrVal:
-        v = self.eval(c.args[0], frame)
-        if isinstance(v, PtrVal):
-            return v
-        return PtrVal(int(v))  # type: ignore[arg-type]
-
-    def _int_arg(self, c: S.Check, frame: Frame) -> int:
-        v = self.eval(c.args[0], frame)
-        if isinstance(v, PtrVal):
-            return v.addr
-        if isinstance(v, float):
-            return int(v)
-        return int(v)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Lvalues
@@ -1295,28 +1291,26 @@ class Interpreter:
 
     def _eval_addrof(self, lv: E.Lval,
                      frame: Optional[Frame]) -> PtrVal:
-        # Function designators: the code address.
         if isinstance(lv.host, E.Var) and T.is_function(
                 lv.host.var.type):
-            h = self._func_homes.get(lv.host.var.name)
-            if h is None:
-                # external function used as a value: give it a stub
-                h = self.mem.alloc(4, "code",
-                                   f"fn:{lv.host.var.name}")
-                self._func_homes[lv.host.var.name] = h
-                self._addr_to_func[h.base] = lv.host.var.name
-                if lv.host.var.name not in self.functions and \
-                        lv.host.var.name in libc_mod.BUILTINS:
-                    pass  # dispatched by name at call time
-            return PtrVal(h.base, b=h.base, e=h.end)
+            return self._func_addr(lv.host.var.name)
         kind, where, t = self._lval_location(lv, frame)  # type: ignore
         if kind == "reg":
-            raise MemorySafetyError(
-                "address of register variable (frontend should have "
-                "marked it address-taken)")
+            raise MemorySafetyError(REG_ADDR_MSG)
         addr = int(where)  # type: ignore[arg-type]
         b, e_ = self._bounds_for_addr(lv, addr, t, frame)
         return PtrVal(addr, b=b, e=e_)
+
+    def _func_addr(self, name: str) -> PtrVal:
+        """A function designator's value: its code address.  An external
+        function used as a value gets a stub home; calls through it
+        dispatch by name."""
+        h = self._func_homes.get(name)
+        if h is None:
+            h = self.mem.alloc(4, "code", f"fn:{name}")
+            self._func_homes[name] = h
+            self._addr_to_func[h.base] = name
+        return PtrVal(h.base, b=h.base, e=h.end)
 
     def _bounds_for_addr(self, lv: E.Lval, addr: int, t: T.CType,
                          frame: Optional[Frame]) -> tuple[int, int]:
@@ -1598,6 +1592,16 @@ class Interpreter:
         if signed and value >= (1 << (bits - 1)):
             value -= 1 << bits
         return value
+
+
+#: the error of ``&v`` for a register variable ``v`` (both engines)
+REG_ADDR_MSG = ("address of register variable (frontend should have "
+                "marked it address-taken)")
+
+#: checks that evaluate no argument: charged only
+_NO_ARG_CHECKS = frozenset({
+    S.CheckKind.SAFE_TO_SEQ, S.CheckKind.STORE_STACK_PTR,
+    S.CheckKind.VERIFY_NUL, S.CheckKind.VERIFY_SIZE})
 
 
 def _check_pointer_kind(c: S.Check) -> Optional[str]:

@@ -149,7 +149,6 @@ class Memory:
                  gap_regions: Optional[set[str]] = None,
                  reuse_freed: bool = False) -> None:
         self._next = dict(Memory.REGION_BASES)
-        self._homes: list[Home] = []
         #: sorted home base addresses for address resolution
         self._bases: list[int] = []
         self._by_base: list[Home] = []
@@ -199,7 +198,6 @@ class Memory:
         i = bisect_right(self._bases, base)
         self._bases.insert(i, base)
         self._by_base.insert(i, home)
-        self._homes.append(home)
         self.bytes_allocated += size
         self.allocations += 1
         return home
@@ -368,12 +366,6 @@ class Memory:
         there was a valid pointer (Figure 10's tag invariant)."""
         h = self.home_of(addr)
         return h is not None and (addr - h.base) in h.meta
-
-    # -- statistics ----------------------------------------------------------
-
-    def live_heap_bytes(self) -> int:
-        return sum(h.size for h in self._homes
-                   if h.region == "heap" and h.alive)
 
     def __repr__(self) -> str:
         return (f"<memory: {self.allocations} allocations, "

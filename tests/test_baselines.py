@@ -8,9 +8,11 @@ from helpers import cure_src
 
 from repro.baselines import (BaselineViolation, PurifyChecker,
                              ValgrindChecker)
+from repro.bench import pristine_parse
 from repro.frontend import parse_program
-from repro.interp import run_cured, run_raw
+from repro.interp import Interpreter, run_cured, run_raw
 from repro.runtime.checks import MemorySafetyError
+from repro.workloads import all_workloads
 
 HEAP_OVERRUN = """
 #include <stdlib.h>
@@ -53,6 +55,16 @@ int main(void) {
 }
 """
 
+DOUBLE_FREE = """
+#include <stdlib.h>
+int main(void) {
+  int *p = (int *)malloc(4);
+  free(p);
+  free(p);
+  return 0;
+}
+"""
+
 CLEAN = """
 #include <stdlib.h>
 int main(void) {
@@ -77,17 +89,8 @@ class TestDetection:
             run_raw(parse_program(USE_AFTER_FREE, "t"), shadow=tool())
 
     def test_double_free_caught(self, tool):
-        src = """
-        #include <stdlib.h>
-        int main(void) {
-          int *p = (int *)malloc(4);
-          free(p);
-          free(p);
-          return 0;
-        }
-        """
         with pytest.raises(BaselineViolation):
-            run_raw(parse_program(src, "t"), shadow=tool())
+            run_raw(parse_program(DOUBLE_FREE, "t"), shadow=tool())
 
     def test_stack_oob_missed(self, tool):
         # The paper: "these other tools do not catch out-of-bounds
@@ -149,3 +152,42 @@ class TestOverheadShape:
         a = run_raw(parse_program(CLEAN, "a"), shadow=PurifyChecker())
         b = run_raw(parse_program(CLEAN, "b"), shadow=PurifyChecker())
         assert a.cycles == b.cycles
+
+
+def _shadowed(prog, tool, engine, stdin="", args=None):
+    """Everything a shadow-tool run shows: outcome (the violation
+    raised, if any), output, steps, cycles, events, accesses seen."""
+    sh = tool()
+    ip = Interpreter(prog, shadow=sh, engine=engine, stdin=stdin)
+    try:
+        outcome = ("exit", ip.run(args).status)
+    except BaselineViolation as exc:
+        outcome = ("violation", exc.tool, str(exc))
+    return (outcome, ip.stdout_text(), ip.steps, ip.cost.cycles,
+            dict(ip.cost.events), sh.reads, sh.writes)
+
+
+@pytest.mark.parametrize("tool", [PurifyChecker, ValgrindChecker])
+class TestShadowEngineParity:
+    """The shadow tools see the closures engine exactly as the tree
+    walker: ``ValgrindChecker.on_instr`` charges cycles per instruction
+    and both tools charge per access, so any missed, extra or reordered
+    hook shows up here."""
+
+    @pytest.mark.parametrize("src", [HEAP_OVERRUN, USE_AFTER_FREE,
+                                     DOUBLE_FREE, STACK_OOB,
+                                     INTER_OBJECT, CLEAN],
+                             ids=["heap_overrun", "use_after_free",
+                                  "double_free", "stack_oob",
+                                  "inter_object", "clean"])
+    def test_programs(self, tool, src):
+        prog = parse_program(src, "t")
+        assert _shadowed(prog, tool, "closures") == \
+            _shadowed(prog, tool, "tree")
+
+    @pytest.mark.parametrize("w", all_workloads(), ids=lambda w: w.name)
+    def test_workloads(self, tool, w):
+        prog = pristine_parse(w, 1)
+        args = list(w.args) or None
+        assert _shadowed(prog, tool, "closures", w.stdin, args) == \
+            _shadowed(prog, tool, "tree", w.stdin, args)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import SAFETY_EXIT, main
+from repro.cli import LIMIT_EXIT, SAFETY_EXIT, main
 
 HELLO = r'''
 #include <stdio.h>
@@ -13,6 +13,20 @@ int main(int argc, char **argv) {
   else strcpy(buf, "hi");
   printf("%s\n", buf);
   return 0;
+}
+'''
+
+
+LATE_OVERFLOW = r'''
+#include <stdio.h>
+int main(void) {
+  int a[2];
+  int i;
+  for (i = 0; i < 2; i++)
+    printf("before %d\n", i);
+  a[2] = i;
+  printf("after\n");
+  return a[0];
 }
 '''
 
@@ -69,6 +83,41 @@ class TestRun:
     def test_run_raw(self, hello_c, capsys):
         assert main(["run", "--raw", hello_c, "ok"]) == 0
         assert capsys.readouterr().out == "ok\n"
+
+    @pytest.mark.parametrize("engine", ["closures", "tree"])
+    def test_output_before_a_trap_is_kept(self, tmp_path, capsys,
+                                          engine):
+        p = tmp_path / "late.c"
+        p.write_text(LATE_OVERFLOW)
+        status = main(["run", str(p), "--engine", engine])
+        out, err = capsys.readouterr()
+        assert status == SAFETY_EXIT
+        assert out == "before 0\nbefore 1\n"
+        assert "[BoundsError]" in err and "before" not in err
+
+    def test_output_before_a_step_limit_is_kept(self, tmp_path, capsys,
+                                                monkeypatch):
+        import repro.cli as cli
+        p = tmp_path / "spin.c"
+        p.write_text('#include <stdio.h>\n'
+                     'int main(void) { printf("start\\n");'
+                     ' for (;;) { } return 0; }\n')
+        run_cured = cli.run_cured
+        monkeypatch.setattr(cli, "run_cured", lambda *a, **kw: run_cured(
+            *a, max_steps=1000, **kw))
+        status = main(["run", str(p)])
+        out, err = capsys.readouterr()
+        assert status == LIMIT_EXIT
+        assert out == "start\n"
+        assert "[InterpreterLimitError] step budget exceeded" in err
+
+    def test_diagnostic_names_the_file_once(self, tmp_path, capsys):
+        p = tmp_path / "late.c"
+        p.write_text(LATE_OVERFLOW)
+        assert main(["lint", str(p), "--format", "json"]) == 1
+        report = capsys.readouterr().out
+        assert '"file": "' + str(p) + '"' in report
+        assert ".c.c" not in report
 
     def test_run_stats(self, hello_c, capsys):
         assert main(["run", hello_c, "x", "--stats"]) == 0

@@ -91,3 +91,75 @@ def test_temporal_reuse_parity(w):
     assert (tree[0], tree[1]) == (plain[0], plain[1]), (
         f"{w.name}: address reuse changed a clean program's "
         f"observable behaviour")
+
+
+def _deep_source(loops: int, cases: int) -> str:
+    """C with ``loops`` nested loops (continue, break and return from
+    the innermost), a ``cases``-arm switch, a loop whose continue,
+    break and return sit under ``cases // 2`` nested ifs, and
+    expressions ``cases`` operators deep: beyond Python's static
+    nesting limits (blocks, indentation, parentheses) when every C
+    construct nests one Python block or parenthesis."""
+    head = "".join(f"for (i{k} = 0; i{k} < 2; i{k}++) {{ s += {k};\n"
+                   for k in range(loops))
+    inner = ("if (s % 7 == 3) continue;\n"
+             "if (s > 900000) return s & 127;\n"
+             "if (s % 11 == 5) break;\n"
+             "s = s * 3 + 1;\n")
+    arms = "".join(f"case {c}: s += {c * 7 % 13}; break;\n"
+                   for c in range(cases))
+    decls = " ".join(f"int i{k};" for k in range(loops))
+    return (f"int f(int n) {{ int s = n; {decls}\n{head}{inner}"
+            + "}\n" * loops + "return s & 127; }\n"
+            f"int g(int n) {{ int s = 0; int k;\n"
+            f"for (k = 0; k < n; k++) {{ switch ((k * 37) % {cases + 3}) {{\n"
+            f"{arms}default: s -= 1; }} }}\nreturn s & 127; }}\n"
+            "int h(int n) { int s = 0; int j;\n"
+            "for (j = 0; j < n; j++) { s += 1;\n"
+            + "if (j >= 0) {\n" * (cases // 2)
+            + "if (j % 3 == 0) continue;\n"
+              "if (j == 37) break;\n"
+              "if (s > 100000) return 1;\n"
+              "s = s * 2 + j;\n"
+            + "}\n" * (cases // 2)
+            + "s += 3; }\nreturn s & 127; }\n"
+            "int x(int n) { int s = " + "(int)(char)" * (cases // 2)
+            + "n; if (" + "!" * cases + "n) s++; return s; }\n"
+            "int main(void) {\n"
+            "  return (f(1) + g(300) + h(40) + x(300)) & 127; }\n")
+
+
+@pytest.mark.parametrize("cured", [False, True], ids=["raw", "cured"])
+def test_deep_nesting_parity(cured):
+    """Functions past Python's nesting limits: the too-deep statements
+    are hoisted into nested generated functions, still bit-identical."""
+    from helpers import cure_src
+    from repro.frontend import parse_program
+    src = _deep_source(24, 150)
+    if cured:
+        c = cure_src(src, "deep")
+        mk = lambda e: Interpreter(c.prog, cured=c, engine=e)  # noqa: E731
+    else:
+        prog = parse_program(src, "deep")
+        mk = lambda e: Interpreter(prog, engine=e)  # noqa: E731
+    assert _signature(mk("closures"), None) == _signature(mk("tree"), None)
+
+
+@pytest.mark.parametrize("w", all_workloads()[::3], ids=lambda w: w.name)
+def test_hoisted_parity(w, monkeypatch):
+    """Every loop and every statement past the third nesting level
+    hoisted into a nested generated function: the hoisting machinery
+    (shared locals, break/continue/return codes) on real programs."""
+    import copy
+    from repro.interp import compile as gen
+    monkeypatch.setattr(gen, "_MAX_INDENT", 4)
+    monkeypatch.setattr(gen, "_MAX_BLOCKS", 1)
+    cured = copy.deepcopy(pristine_cure(w, scale=SCALE))
+    prog = copy.deepcopy(pristine_parse(w, SCALE))
+    args = list(w.args) or None
+    for kw in ({"prog": cured.prog, "cured": cured}, {"prog": prog}):
+        tree = _signature(Interpreter(stdin=w.stdin, engine="tree",
+                                      **kw), args)
+        clos = _signature(Interpreter(stdin=w.stdin, engine="closures",
+                                      **kw), args)
+        assert tree == clos, f"{w.name}: hoisted closures diverged"

@@ -299,3 +299,12 @@ class TestTrustedCast:
           char *c = (char*)__trusted_cast(p); return c != (char*)0; }
         """)
         assert prog.trusted_cast_count == 1
+
+
+class TestFileNames:
+    @pytest.mark.parametrize("name", ["goto", "goto.c"])
+    def test_diagnostics_name_the_file_with_one_suffix(self, name):
+        src = "int main(void) {\n  goto out;\nout:\n  return 0;\n}\n"
+        with pytest.raises(UnsupportedCError) as exc:
+            parse_program(src, name)
+        assert "at goto.c:2" in str(exc.value)
