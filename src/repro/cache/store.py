@@ -34,11 +34,19 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.cil.expr import Varinfo
+from repro.cil.types import CompInfo, EnumInfo
 from repro.obs.tracer import TRACER
 
 #: version stamp inside every pickled payload; a mismatch means the
 #: entry predates an incompatible layout change and must be dropped.
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
+
+#: the per-process counters that number variables (vids), structs and
+#: enums; ids must stay unique within a process, and a tree unpickled
+#: here was numbered in another process
+_ID_COUNTERS = ((Varinfo, "_next_id"), (CompInfo, "_next_key"),
+                (EnumInfo, "_next_key"))
 
 _COUNTER_KEYS = ("hits", "misses", "stores", "invalidated")
 
@@ -129,6 +137,13 @@ class CureCache:
                         or payload.get("version") != PAYLOAD_VERSION
                         or "value" not in payload):
                     raise ValueError("payload version mismatch")
+                # Number this process's new variables, structs and
+                # enums (a grafted fault fragment, say) past every id
+                # of the loaded tree.
+                for (cls, attr), bound in zip(_ID_COUNTERS,
+                                              payload["id_bounds"]):
+                    if getattr(cls, attr) < bound:
+                        setattr(cls, attr, bound)
             except FileNotFoundError:
                 span.set(event="miss")
                 self._bump(misses=1)
@@ -171,7 +186,11 @@ class CureCache:
         path = self._path(key)
         with TRACER.span("cache", op="store", key=key[:12]):
             payload = {"version": PAYLOAD_VERSION, "value": value,
-                       "static": static}
+                       "static": static,
+                       # above every id in ``value``: each was made here
+                       # or came from a load that raised the counter
+                       "id_bounds": [getattr(cls, attr)
+                                     for cls, attr in _ID_COUNTERS]}
             try:
                 blob = pickle.dumps(
                     payload, protocol=pickle.HIGHEST_PROTOCOL)

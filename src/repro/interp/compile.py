@@ -195,6 +195,8 @@ def _cast_int_slow(v: object, mask: int, top: int) -> int:
 
 
 def _pi_slow(v1: object, v2: object, mult: int) -> PtrVal:
+    if isinstance(v1, PtrVal) and v2.__class__ is int:
+        return PtrVal(v1.addr + v2 * mult, v1.b, v1.e, v1.rtti, v1.key)
     p = v1 if isinstance(v1, PtrVal) else PtrVal(_as_int(v1))
     return p.with_addr(p.addr + _as_int(v2) * mult)
 
@@ -226,17 +228,25 @@ def _ovl(ip, st: int, n: int = 1) -> int:
 def _call(ip, st: int, cy: int, ni: int, nm: int, name: Optional[str],
           fnval: Optional[PtrVal], args: list, instr: S.Call,
           caller: str) -> tuple:
-    """A call from generated code: store the caller's counters, dispatch,
+    """A call from generated code: store the caller's counters, call,
     return ``(value, steps, step limit)``.  Should the call raise, the
     counters are taken back out: the caller still holds them and its
-    ``finally`` stores them."""
+    ``finally`` stores them.  A call by name of a defined, unwrapped
+    function whose entry point exists enters it directly; everything
+    else (wrappers, libc, function pointers, a first call, the call
+    depth limit) goes through ``_dispatch_call``."""
     ip.steps = st
     c = ip.cost
     c.cycles += cy
     c.instrs += ni
     c.mems += nm
     try:
-        ret = ip._dispatch_call(name, fnval, args, instr, caller)
+        fd = ip._direct_calls.get(name)
+        run = ip._call_plans.get(id(fd)) if fd is not None else None
+        if run is not None and len(ip._frames) < ip.MAX_CALL_DEPTH:
+            ret = run(ip, fd, args)
+        else:
+            ret = ip._dispatch_call(name, fnval, args, instr, caller)
     except BaseException:
         c.cycles -= cy
         c.instrs -= ni

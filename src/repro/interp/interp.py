@@ -219,6 +219,11 @@ class Interpreter:
         for g in prog.pragmas("ccuredWrapperOf"):
             if len(g.args) >= 2 and g.args[0] in self.functions:
                 self.wrapper_of[g.args[1]] = g.args[0]
+        #: the functions a call by name enters without dispatch: defined
+        #: here and not redirected to a wrapper
+        self._direct_calls: dict[str, S.Fundec] = {
+            name: fd for name, fd in self.functions.items()
+            if name not in self.wrapper_of}
         # global variables
         self._global_homes: dict[int, Home] = {}
         self._alloc_globals()
@@ -445,9 +450,11 @@ class Interpreter:
             end = home.end
             if p.e is not None:
                 end = min(end, p.e)
-            raw = self.mem.read_raw(p.addr, end - p.addr)
-            idx = raw.find(b"\0")
-            if idx < 0:
+            base = home.base
+            off = p.addr - base
+            nul = home.data.find(0, off, end - base) if end > p.addr \
+                else -1
+            if nul < 0:
                 raise attach_failure(
                     BoundsError(
                         "__verify_nul: string not NUL-terminated "
@@ -455,19 +462,14 @@ class Interpreter:
                     check="CHECK_VERIFY_NUL",
                     function=self._current_function())
             if self.shadow is not None:
-                self.shadow.on_read(p.addr, idx + 1)
-            return raw[:idx].decode("latin-1")
+                self.shadow.on_read(p.addr, nul - off + 1)
+            return home.data[off:nul].decode("latin-1")
         # raw mode: hardware semantics, read until NUL or fault
-        out = bytearray()
-        addr = p.addr
-        for _ in range(limit):
-            b = self.mem.read_raw(addr, 1)
-            if self.shadow is not None:
-                self.shadow.on_read(addr, 1)
-            if b == b"\0":
-                return out.decode("latin-1")
-            out += b
-            addr += 1
+        sh = self.shadow
+        text = self.mem.scan_cstring(
+            p.addr, limit, sh.on_read if sh is not None else None)
+        if text is not None:
+            return text.decode("latin-1")
         # The string scan ran off the end of the read limit without
         # meeting a NUL — a bounds violation of the scan itself, not a
         # budget problem of the interpreter.
@@ -542,9 +544,11 @@ class Interpreter:
                          PtrVal(arr.base, b=arr.base, e=arr.end)]
         status = 0
         error: Optional[BaseException] = None
-        # The interpreter uses ~25 Python frames per C call frame, so
-        # MAX_CALL_DEPTH C frames need headroom beyond the default
-        # Python recursion limit.
+        # A C call takes 2 Python frames on the closures engine (4 when
+        # it goes through _dispatch_call, plus one per hoisted
+        # statement) and 8 on the tree walker, plus 2 per enclosing C
+        # block, if or loop; MAX_CALL_DEPTH C frames need headroom
+        # beyond the default Python recursion limit.
         import sys
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 100_000))

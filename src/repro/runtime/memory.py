@@ -39,12 +39,14 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.runtime.checks import SegmentationFault
 
 _WORD = 4
 _U32 = 0xFFFFFFFF
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
 
 
 @dataclass
@@ -97,15 +99,18 @@ class LockTable:
 class Home:
     """One allocation unit."""
 
-    __slots__ = ("hid", "base", "size", "region", "data", "alive",
-                 "meta", "name", "dynamic_rtti", "frame_id",
+    __slots__ = ("hid", "base", "size", "end", "region", "data",
+                 "alive", "meta", "name", "dynamic_rtti", "frame_id",
                  "lock_slot", "lock_key", "freed")
 
     def __init__(self, hid: int, base: int, size: int, region: str,
                  name: str = "") -> None:
         self.hid = hid
+        #: ``base``, ``size`` and ``end`` never change, not even when
+        #: the home is recycled
         self.base = base
         self.size = size
+        self.end = base + size
         self.region = region  # "stack" | "heap" | "global" | "rodata" | "code"
         self.data = bytearray(size)
         self.alive = True
@@ -122,13 +127,6 @@ class Home:
         self.lock_key: int = 0
         #: True between a heap ``free`` and a reallocation of the home
         self.freed = False
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
 
     def __repr__(self) -> str:
         state = "" if self.alive else " (freed)"
@@ -239,6 +237,12 @@ class Memory:
 
     def read_raw(self, addr: int, n: int) -> bytes:
         """Read ``n`` bytes, spanning homes; traps on unmapped bytes."""
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            h = self._by_base[i]
+            off = addr - h.base
+            if 0 <= off and 0 <= n <= h.size - off:
+                return bytes(h.data[off:off + n])
         out = bytearray()
         while n > 0:
             h = self.home_of(addr)
@@ -251,6 +255,35 @@ class Memory:
             addr += take
             n -= take
         return bytes(out)
+
+    def scan_cstring(self, addr: int, limit: int,
+                     on_read: Optional[Callable[[int, int], object]] = None
+                     ) -> Optional[bytearray]:
+        """The bytes from ``addr`` up to the first NUL, which is not
+        included; ``None`` if none of the ``limit`` bytes from ``addr``
+        is a NUL.  Searches one home at a time, and behaves exactly
+        like reading a byte at a time: traps at the first unmapped
+        byte before the NUL, and calls ``on_read(a, 1)`` for every byte
+        read, the NUL included, in address order."""
+        out = bytearray()
+        stop = addr + limit
+        while addr < stop:
+            h = self.home_of(addr)
+            if h is None:
+                raise SegmentationFault(
+                    f"read of unmapped address 0x{addr:x}")
+            base = h.base
+            end = min(h.end, stop)
+            nul = h.data.find(0, addr - base, end - base)
+            if on_read is not None:
+                for a in range(addr, end if nul < 0 else base + nul + 1):
+                    on_read(a, 1)
+            if nul >= 0:
+                out += h.data[addr - base:nul]
+                return out
+            out += h.data[addr - base:end - base]
+            addr = end
+        return None
 
     def write_raw(self, addr: int, data: bytes) -> None:
         """Write bytes, spanning homes (so an uncured overflow corrupts
@@ -308,16 +341,34 @@ class Memory:
         self.write_raw(addr, value.to_bytes(size, "little"))
 
     def read_float(self, addr: int, size: int) -> float:
-        raw = self.read_raw(addr, size)
-        return struct.unpack("<f" if size == 4 else "<d", raw)[0]
+        fmt = _F32 if size == 4 else _F64
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            h = self._by_base[i]
+            off = addr - h.base
+            if 0 <= off and off + size <= h.size:
+                return fmt.unpack_from(h.data, off)[0]
+        return fmt.unpack(self.read_raw(addr, size))[0]
 
     def write_float(self, addr: int, value: float, size: int) -> None:
-        fmt = "<f" if size == 4 else "<d"
+        fmt = _F32 if size == 4 else _F64
         try:
-            self.write_raw(addr, struct.pack(fmt, value))
+            data = fmt.pack(value)
         except OverflowError:
-            self.write_raw(addr, struct.pack(
-                fmt, float("inf") if value > 0 else float("-inf")))
+            data = fmt.pack(float("inf") if value > 0 else float("-inf"))
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            h = self._by_base[i]
+            off = addr - h.base
+            if 0 <= off and off + size <= h.size:
+                h.data[off:off + size] = data
+                if h.meta:
+                    lo = (off // _WORD) * _WORD
+                    hi = off + size
+                    for moff in [m for m in h.meta if lo <= m < hi]:
+                        del h.meta[moff]
+                return
+        self.write_raw(addr, data)
 
     # -- pointer access (word + shadow metadata) ------------------------------
 

@@ -34,3 +34,27 @@ def run_both(src: str, name: str = "t", args=None, stdin=""):
     assert rc.status == rr.status, (rc, rr)
     assert rc.stdout == rr.stdout
     return rc, rr
+
+
+#: C calls of every kind: direct, redirected to a wrapper (and, inside
+#: the wrapper, to the wrapped function), through function pointers to
+#: a plain and to a wrapped function, and libc.  Prints "27 6".
+CALLS = r"""
+#include <stdio.h>
+int hits;
+int twice(int x) { return 2 * x; }
+#pragma ccuredWrapperOf("twice_wrapper", "twice")
+int twice_wrapper(int x) { hits = hits + 1; return twice(x) + 1; }
+int triple(int x) { return 3 * x; }
+int apply(int (*fp)(int), int x) { return fp(x); }
+int main(void) {
+  int s = 0, i;
+  for (i = 0; i < 3; i++) {
+    s = s + twice(i);
+    s = s + apply(triple, i);
+    s = s + apply(twice, i);
+  }
+  printf("%d %d\n", s, hits);
+  return 0;
+}
+"""

@@ -139,3 +139,26 @@ def test_every_cut_of_a_small_program(cured):
         tree = _state(prog, kw, None, "tree", m)
         assert _state(prog, kw, None, "closures", m) == tree, \
             f"max_steps={m}"
+
+
+@pytest.mark.parametrize("cured", [False, True], ids=["raw", "cured"])
+def test_cuts_at_call_boundaries(cured):
+    """``max_steps`` at and next to every C call of a program that calls
+    directly, through a wrapper and through function pointers: the
+    closures engine enters an already-entered plain function without
+    dispatch, and must stop exactly where the tree walker stops."""
+    from helpers import CALLS, cure_src
+    from repro.frontend import parse_program
+    if cured:
+        c = cure_src(CALLS, "callcuts")
+        prog, kw = c.prog, {"cured": c}
+    else:
+        prog, kw = parse_program(CALLS, "callcuts"), {}
+    rec = _Recorder(prog, **kw)
+    rec.run()
+    assert len(rec.calls) == 1 + 3 * 7  # main, 7 per loop iteration
+    for m in sorted({b + d for b in rec.calls for d in (-1, 0, 1, 2)}):
+        if m > 0:
+            tree = _state(prog, kw, None, "tree", m)
+            assert _state(prog, kw, None, "closures", m) == tree, \
+                f"max_steps={m}"

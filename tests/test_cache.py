@@ -236,3 +236,36 @@ def test_cli_cache_stats_reports_hit_rate(fresh_cache, capsys):
     assert 0.0 <= payload["hit_rate_pct"] <= 100.0
     assert payload["session"]["hit_rate_pct"] is None \
         or 0.0 <= payload["session"]["hit_rate_pct"] <= 100.0
+
+
+def test_loaded_tree_keeps_its_ids_unique(fresh_cache, monkeypatch):
+    """Variables, structs and enums are numbered by per-process
+    counters.  A process that loads a tree numbered elsewhere must
+    number what it makes next (a grafted fault fragment) past every id
+    of the tree, or a new variable or struct shares an id with an old
+    one and the two are confused."""
+    from repro.cil import CompInfo, EnumInfo, GCompTag, GEnumTag, \
+        Varinfo, int_t
+    from repro.frontend import parse_program
+    prog = parse_program(
+        "enum color { RED, GREEN };\n"
+        "struct pt { int x; int y; };\n"
+        "struct pt g;\n"
+        "int main(void) { struct pt p; enum color c = GREEN;\n"
+        "  p.x = c; g = p; return p.x; }\n", "ids")
+    assert fresh_cache.store("ids", prog)
+    # a fresh process: every counter starts from zero
+    for cls, attr in ((Varinfo, "_next_id"), (CompInfo, "_next_key"),
+                      (EnumInfo, "_next_key")):
+        monkeypatch.setattr(cls, attr, 0)
+    got = fresh_cache.load("ids")
+    vids = {g.var.vid for g in got.globals if hasattr(g, "var")}
+    for fd in got.functions.values():
+        vids |= {v.vid for v in fd.formals + fd.locals}
+    comps = {g.comp.key for g in got.globals if isinstance(g, GCompTag)}
+    enums = {g.enuminfo.key for g in got.globals
+             if isinstance(g, GEnumTag)}
+    assert vids and comps and enums
+    assert Varinfo("fresh", int_t).vid > max(vids)
+    assert CompInfo(True, "fresh").key > max(comps)
+    assert EnumInfo("fresh").key > max(enums)

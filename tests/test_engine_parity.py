@@ -129,19 +129,22 @@ def _deep_source(loops: int, cases: int) -> str:
             "  return (f(1) + g(300) + h(40) + x(300)) & 127; }\n")
 
 
+def _both(src, name, cured):
+    """``make(engine)`` building an interpreter for ``src``."""
+    from helpers import cure_src
+    from repro.frontend import parse_program
+    if cured:
+        c = cure_src(src, name)
+        return lambda e: Interpreter(c.prog, cured=c, engine=e)
+    prog = parse_program(src, name)
+    return lambda e: Interpreter(prog, engine=e)
+
+
 @pytest.mark.parametrize("cured", [False, True], ids=["raw", "cured"])
 def test_deep_nesting_parity(cured):
     """Functions past Python's nesting limits: the too-deep statements
     are hoisted into nested generated functions, still bit-identical."""
-    from helpers import cure_src
-    from repro.frontend import parse_program
-    src = _deep_source(24, 150)
-    if cured:
-        c = cure_src(src, "deep")
-        mk = lambda e: Interpreter(c.prog, cured=c, engine=e)  # noqa: E731
-    else:
-        prog = parse_program(src, "deep")
-        mk = lambda e: Interpreter(prog, engine=e)  # noqa: E731
+    mk = _both(_deep_source(24, 150), "deep", cured)
     assert _signature(mk("closures"), None) == _signature(mk("tree"), None)
 
 
@@ -163,3 +166,45 @@ def test_hoisted_parity(w, monkeypatch):
         clos = _signature(Interpreter(stdin=w.stdin, engine="closures",
                                       **kw), args)
         assert tree == clos, f"{w.name}: hoisted closures diverged"
+
+
+@pytest.mark.parametrize("cured", [False, True], ids=["raw", "cured"])
+def test_call_kinds_parity(cured):
+    """A call to a wrapped function goes to its wrapper, except from
+    inside the wrapper, also once the callee has been entered before
+    and through a function pointer; a pointer call reaches a plain
+    function.  ``hits`` counts the wrapper's runs."""
+    from helpers import CALLS
+    make = _both(CALLS, "calls", cured)
+    clos = _signature(make("closures"), None)
+    assert clos[:2] == (0, "27 6\n")
+    assert clos == _signature(make("tree"), None)
+
+
+@pytest.mark.parametrize("via", ["direct", "pointer"])
+@pytest.mark.parametrize("cured", [False, True], ids=["raw", "cured"])
+def test_recursion_stops_at_max_call_depth(cured, via):
+    """Unbounded recursion raises InterpreterLimitError when the
+    MAX_CALL_DEPTH-th frame would be exceeded, on both engines at the
+    same step and cycle; main is frame 1, so the deepest ``down`` to run
+    is down(MAX_CALL_DEPTH - 2)."""
+    from repro.runtime.checks import InterpreterLimitError
+    call = "down(n + 1)" if via == "direct" else "fp(n + 1)"
+    src = ("#include <stdio.h>\n"
+           "int down(int n);\n"
+           "int (*fp)(int) = down;\n"
+           "int down(int n) { printf(\"%d\\n\", n); return "
+           + call + " + 1; }\n"
+           "int main(void) { return down(0); }\n")
+    make = _both(src, "deep_" + via, cured)
+    seen = []
+    for engine in ("closures", "tree"):
+        ip = make(engine)
+        with pytest.raises(InterpreterLimitError,
+                           match="call depth exceeded") as ei:
+            ip.run()
+        assert not ip._frames
+        last = ei.value.stdout.splitlines()[-1]
+        assert last == str(Interpreter.MAX_CALL_DEPTH - 2)
+        seen.append((ei.value.stdout, ip.steps, ip.cost.cycles))
+    assert seen[0] == seen[1]
