@@ -85,12 +85,13 @@ def analyze_source(source: str, name: str = "program",
 
 def analyze_workload(w, scale: Optional[int] = None) -> dict:
     """Analyze one benchmark workload at ``optimize="none"`` through
-    the shared pristine parse/cure caches — the unit of work both the
-    serial ``repro analyze`` loop and the sharded sweep run."""
-    from repro.bench.harness import cached_cure
-    cured = cached_cure(w, options=CureOptions(optimize="none"),
-                        scale=scale)
-    return analyze_cured(cured)
+    the shared pristine parse/cure caches — the unit of work one shard
+    of ``repro analyze`` runs.  The pristine cure is read, never
+    mutated: :func:`analyze_fundec` is read-only and the local pass
+    runs on a per-function copy."""
+    from repro.bench.harness import pristine_cure
+    return analyze_cured(pristine_cure(
+        w, options=CureOptions(optimize="none"), scale=scale))
 
 
 def render_table(stats: dict) -> str:

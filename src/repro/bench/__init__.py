@@ -1,7 +1,6 @@
 """Benchmark harness and paper-table formatting."""
 
-from repro.bench.harness import (BenchRow, ToolRun, cached_cure,
-                                 cached_parse, cached_source,
+from repro.bench.harness import (BenchRow, ToolRun, cached_source,
                                  clear_program_cache, count_lines,
                                  pristine_cure, pristine_parse,
                                  run_workload)
@@ -15,8 +14,8 @@ from repro.bench.trajectory import (BENCH_SCHEMA, QUICK_SUITE, SUITE,
                                     render_diff, render_record,
                                     run_bench, run_suite_cells)
 
-__all__ = ["BenchRow", "ToolRun", "cached_cure", "cached_parse",
-           "cached_source", "clear_program_cache", "count_lines",
+__all__ = ["BenchRow", "ToolRun", "cached_source",
+           "clear_program_cache", "count_lines",
            "pristine_cure", "pristine_parse",
            "run_workload", "aggregate_census", "band_check",
            "census_table", "figure8_table", "figure9_table",

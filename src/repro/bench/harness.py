@@ -193,9 +193,9 @@ def pristine_cure(w: Workload,
 
     Backed by the content-addressed disk cache keyed on
     ``hash(preprocessed source, canonical options, schema)``: a warm
-    process unpickles the cured tree (plus its static metrics) instead
-    of re-running constraints/solve/instrument (traced as a ``cure``
-    span with ``cached=True``)."""
+    process unpickles the cured tree instead of re-running
+    constraints/solve/instrument (traced as a ``cure`` span with
+    ``cached=True``)."""
     key = (w.name, scale if scale is not None else w.scale,
            _options_key(options))
     cured = _CURE_CACHE.get(key)
@@ -220,30 +220,9 @@ def pristine_cure(w: Workload,
             cured = _cure(copy.deepcopy(pristine_parse(w, scale)),
                           options=opts, name=w.name)
             if dkey is not None:
-                disk.store(dkey, cured, static={
-                    "kind_pct": cured.kind_percentages(),
-                    "checks_emitted": {
-                        k.value: v for k, v in
-                        sorted(cured.check_counts.items(),
-                               key=lambda kv: kv[0].value)},
-                    "checks_removed": cured.checks_removed,
-                    "optimize": cured.optimize_level,
-                })
+                disk.store(dkey, cured)
         _CURE_CACHE[key] = cured
     return cured
-
-
-def cached_parse(w: Workload,
-                 scale: Optional[int] = None) -> Program:
-    """A fresh (deep-copied) parse of ``w`` from the pristine cache."""
-    return copy.deepcopy(pristine_parse(w, scale))
-
-
-def cached_cure(w: Workload,
-                options: Optional[CureOptions] = None,
-                scale: Optional[int] = None) -> CuredProgram:
-    """A fresh (deep-copied) cure of ``w`` from the pristine cache."""
-    return copy.deepcopy(pristine_cure(w, options, scale))
 
 
 def clear_program_cache() -> None:

@@ -162,31 +162,13 @@ class CureCache:
             self._bump(hits=1)
             return payload["value"]
 
-    def static_of(self, key: str) -> Optional[dict]:
-        """The static-metrics side record of an entry, if present
-        (stored beside the tree so quick inspection never has to
-        materialize the full cure)."""
-        if not self.enabled:
-            return None
-        try:
-            with open(self._path(key), "rb") as f:
-                payload = pickle.load(f)
-            if payload.get("version") != PAYLOAD_VERSION:
-                return None
-            return payload.get("static")
-        except Exception:
-            return None
-
-    def store(self, key: str, value: Any,
-              static: Optional[dict] = None) -> bool:
-        """Atomically persist ``value`` (plus an optional static
-        metrics record) under ``key``."""
+    def store(self, key: str, value: Any) -> bool:
+        """Atomically persist ``value`` under ``key``."""
         if not self.enabled:
             return False
         path = self._path(key)
         with TRACER.span("cache", op="store", key=key[:12]):
             payload = {"version": PAYLOAD_VERSION, "value": value,
-                       "static": static,
                        # above every id in ``value``: each was made here
                        # or came from a load that raised the counter
                        "id_bounds": [getattr(cls, attr)

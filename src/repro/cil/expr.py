@@ -11,10 +11,10 @@ the paper's appendix, "we will only consider pointer arithmetic".
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cil.types import (CType, FieldInfo, TArray, TInt, TPtr, IKind,
-                             unroll, is_pointer, int_t)
+                             unroll, int_t)
 
 
 class Varinfo:
@@ -363,23 +363,8 @@ class StartOf(Exp):
         return f"startof({self.lval!r})"
 
 
-def dummy_exp() -> Exp:
-    return Const(0)
-
-
 def is_zero(e: Exp) -> bool:
     """Is this expression a (possibly cast) literal zero/null?"""
     while isinstance(e, CastE):
         e = e.e
     return isinstance(e, Const) and e.value == 0
-
-
-def exp_children(e: Exp) -> Sequence[Exp]:
-    """The immediate sub-expressions of ``e`` (for generic walks)."""
-    if isinstance(e, UnOp):
-        return (e.e,)
-    if isinstance(e, BinOp):
-        return (e.e1, e.e2)
-    if isinstance(e, CastE):
-        return (e.e,)
-    return ()

@@ -51,10 +51,11 @@ Usage (also available as ``python -m repro``)::
                                            # cure cache
 
 Sweep-shaped commands (``metrics``, ``lint``, ``analyze``, ``faults
-run``, ``faults lint``, ``sweep``) accept ``--jobs N|auto`` to shard
-their workload loop across processes; sharded output is byte-identical
-to the serial output, and all of them share the on-disk cure cache
-(``REPRO_CACHE_DIR``; ``REPRO_CACHE=off`` disables it).
+run``, ``faults lint``, ``sweep``) accept ``--jobs N|auto`` to run
+their per-workload shards in a process pool instead of inline; the
+output is byte-identical at every ``--jobs``, and all of them share
+the on-disk cure cache (``REPRO_CACHE_DIR``; ``REPRO_CACHE=off``
+disables it).
 
 The exit status of ``run`` is the program's exit status; memory-safety
 failures exit with status 99 after printing the check that fired,
@@ -467,14 +468,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
             print(f"{'':20}    {spec.description}")
         return 0
     if args.faults_command == "lint":
-        from repro.sweep import sharded_lintval
+        from repro.faults.lintval import run_lint_validation
         try:
             selected = _select_workloads(args.workloads,
                                          args.all_workloads)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
-        val = sharded_lintval(
+        val = run_lint_validation(
             args.seed,
             workloads=selected or None,
             classes=(args.classes.split(",") if args.classes
@@ -489,7 +490,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         print(val.render())
         return 0 if val.ok else 2
     # faults run
-    from repro.sweep import sharded_campaign
+    from repro.faults.campaign import run_campaign
     workloads = (args.workloads.split(",") if args.workloads
                  else None)
     classes = args.classes.split(",") if args.classes else None
@@ -501,7 +502,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
                  or [w.name for w in all_workloads()])
         pl = _progress_line(args, len(names))
     try:
-        report = sharded_campaign(
+        report = run_campaign(
             args.seed, args.campaign, workloads=workloads,
             classes=classes, scale=args.scale,
             optimize=args.optimize, jobs=args.jobs,
@@ -603,9 +604,9 @@ def _select_workloads(names: Optional[str], all_workloads: bool):
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import (Thresholds, diff_reports, load_json,
-                           render_diff, render_report, write_json)
-    from repro.sweep import sharded_metrics
+    from repro.obs import (Thresholds, collect_metrics, diff_reports,
+                           load_json, render_diff, render_report,
+                           write_json)
 
     if getattr(args, "metrics_command", None) == "diff":
         baseline = load_json(args.baseline)
@@ -616,7 +617,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             # configuration, over the full suite (so brand-new
             # workloads surface as notes).
             from repro.workloads import all_workloads
-            report = sharded_metrics(
+            report = collect_metrics(
                 list(all_workloads()),
                 engine=baseline.get("engine", "closures"),
                 optimize=baseline.get("optimize"),
@@ -663,7 +664,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     else:
         progress = _echo
     try:
-        report = sharded_metrics(
+        report = collect_metrics(
             selected, engine=args.engine, optimize=args.optimize,
             scale=args.scale, timing=args.timing,
             provenance=args.provenance, temporal=args.temporal,

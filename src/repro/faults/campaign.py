@@ -38,6 +38,10 @@ from repro.workloads import Workload, all_workloads, get
 CURED_MAX_STEPS = 2_000_000
 RAW_MAX_STEPS = 200_000
 
+#: the engines every variant's cured side runs under — a
+#: differential pair, so their outcomes must agree
+CURED_ENGINES = ("closures", "tree")
+
 #: campaign name -> workload names (None = all 27)
 CAMPAIGNS: dict[str, Optional[tuple[str, ...]]] = {
     "smoke": ("olden_power", "ptrdist_anagram", "ftpd",
@@ -158,10 +162,9 @@ def _classify(run: Callable[[], object], tool: str) -> RunOutcome:
 
 def run_variant(w: Workload, spec: FaultSpec, *,
                 scale: Optional[int] = None,
-                engines: Sequence[str] = ("closures", "tree"),
                 optimize: Optional[str] = None,
                 ) -> VariantReport:
-    """Cure and execute one attack variant under every engine + raw.
+    """Cure and execute one attack variant under both engines + raw.
 
     ``optimize`` selects the check-elimination level of the cured
     side; the campaign's contract is that the level never changes
@@ -195,7 +198,7 @@ def run_variant(w: Workload, spec: FaultSpec, *,
 
     args = list(w.args) or None
     cured_runs = []
-    for engine in engines:
+    for engine in CURED_ENGINES:
         out = _classify(
             lambda e=engine: run_cured(
                 cured, args=args, stdin=w.stdin,
@@ -219,7 +222,7 @@ def run_variant(w: Workload, spec: FaultSpec, *,
     report.engines_agree = all(
         (r.outcome, r.error, r.message, r.failure) ==
         (first.outcome, first.error, first.message, first.failure)
-        for r in cured_runs[1:]) if len(cured_runs) > 1 else True
+        for r in cured_runs[1:])
     if raw_out.outcome == "crash":
         report.raw_outcome = f"crash:{raw_out.error}"
     elif raw_out.outcome == "exit":
@@ -229,16 +232,33 @@ def run_variant(w: Workload, spec: FaultSpec, *,
     return report
 
 
+def run_workload_campaign(name: str, seed: int,
+                          classes: Sequence[str], *,
+                          scale: Optional[int] = None,
+                          optimize: Optional[str] = None
+                          ) -> list[VariantReport]:
+    """Every class variant of one workload, in ``classes`` order — the
+    unit of work a campaign shards."""
+    w = get(name)
+    return [run_variant(w, make_variant(w.name, mclass, seed),
+                        scale=scale, optimize=optimize)
+            for mclass in classes]
+
+
 def run_campaign(seed: int, campaign: str = "smoke", *,
                  workloads: Optional[Sequence[str]] = None,
                  classes: Optional[Sequence[str]] = None,
                  scale: Optional[int] = None,
-                 engines: Sequence[str] = ("closures", "tree"),
                  optimize: Optional[str] = None,
+                 jobs=None,
                  progress: Optional[Callable[[str], None]] = None,
+                 span_sink: Optional[list] = None,
                  ) -> CampaignReport:
     """Run a named campaign: every mutation class against every
-    selected workload, deterministically from ``seed``."""
+    selected workload, deterministically from ``seed``, one shard per
+    workload across ``jobs`` workers.  An unknown campaign, class or
+    workload raises :class:`KeyError` before any shard runs."""
+    from repro.sweep.runner import on_shard, run_sharded
     if campaign not in CAMPAIGNS:
         raise KeyError(f"unknown campaign {campaign!r} "
                        f"(known: {', '.join(CAMPAIGNS)})")
@@ -253,19 +273,20 @@ def run_campaign(seed: int, campaign: str = "smoke", *,
     for m in mclasses:
         if m not in MUTATORS:
             raise KeyError(f"unknown mutation class {m!r}")
+    for name in names:
+        get(name)
 
+    tasks = [("campaign", dict(name=name, seed=seed, classes=mclasses,
+                               scale=scale, optimize=optimize))
+             for name in names]
+    results = run_sharded(tasks, jobs, on_shard(
+        progress, lambda kw, variants: (
+            f"{kw['name']:>18} "
+            f"{sum(1 for v in variants if v.caught)}/{len(variants)} "
+            "caught")), span_sink=span_sink)
     report = CampaignReport(seed=seed, campaign=campaign,
                             scale=scale, classes=mclasses,
                             optimize=optimize)
-    for name in names:
-        w = get(name)
-        for mclass in mclasses:
-            spec = make_variant(w.name, mclass, seed)
-            vr = run_variant(w, spec, scale=scale, engines=engines,
-                             optimize=optimize)
-            report.variants.append(vr)
-            if progress is not None:
-                flag = "caught" if vr.caught else "MISSED"
-                progress(f"{w.name:>18} {mclass:<20} {flag}  "
-                         f"(raw: {vr.raw_outcome})")
+    for variants in results:
+        report.variants.extend(variants)
     return report

@@ -194,8 +194,8 @@ def validate_workload(w: Workload, classes: Iterable[str],
                       seed: int = 1, *, optimize: str = "flow",
                       scale: Optional[int] = None
                       ) -> list[VariantLint]:
-    """Lint every class variant of one workload — the unit of work a
-    sharded sweep distributes across processes."""
+    """Lint every class variant of one workload — the unit of work
+    :func:`run_lint_validation` shards."""
     return [lint_variant(w, m, seed, optimize=optimize, scale=scale)
             for m in classes]
 
@@ -205,8 +205,8 @@ def aggregate_validation(seed: int, optimize: str,
                          variants: Iterable[VariantLint]
                          ) -> LintValidation:
     """Fold per-variant outcomes into the per-class E13 rows.  Pure
-    aggregation: serial and sharded validations that produce the same
-    variants produce byte-identical reports."""
+    aggregation: the same variants in the same order produce
+    byte-identical reports."""
     cs = list(classes)
     val = LintValidation(seed=seed, optimize=optimize)
     rows = {m: ClassLintRow(mclass=m, expected=STATIC_CLASSES.get(m))
@@ -225,23 +225,21 @@ def run_lint_validation(seed: int = 1, *,
                         workloads: Optional[Iterable[Workload]] = None,
                         classes: Optional[Iterable[str]] = None,
                         optimize: str = "flow",
-                        scale: Optional[int] = None,
+                        scale: Optional[int] = None, jobs=None,
                         progress: Optional[Callable[[str], None]]
                         = None) -> LintValidation:
-    """Lint every (workload, class) variant; aggregate per class."""
+    """Lint every (workload, class) variant, one shard per workload
+    across ``jobs`` workers; aggregate per class."""
+    from repro.sweep.runner import on_shard, run_sharded
     ws = list(workloads) if workloads is not None \
         else list(all_workloads())
     cs = list(classes) if classes is not None else list(MUTATORS)
-    collected: list[VariantLint] = []
-    for w in ws:
-        for v in validate_workload(w, cs, seed, optimize=optimize,
-                                   scale=scale):
-            collected.append(v)
-            if progress is not None:
-                mark = "+" if v.hit else ("." if v.expected is None
-                                          else "MISS")
-                progress(f"lint {w.name}+{v.mclass}: {mark} "
-                         f"{','.join(v.graft_codes) or '-'}"
-                         + (f" FP={v.false_positives}"
-                            if v.false_positives else ""))
+    tasks = [("lintval", dict(name=w.name, classes=cs, seed=seed,
+                              optimize=optimize, scale=scale))
+             for w in ws]
+    results = run_sharded(tasks, jobs, on_shard(
+        progress, lambda kw, variants: (
+            f"lintval {kw['name']}: "
+            f"{sum(1 for v in variants if v.hit)} hits")))
+    collected = [v for variants in results for v in variants]
     return aggregate_validation(seed, optimize, cs, collected)

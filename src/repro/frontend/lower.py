@@ -24,7 +24,7 @@ fall-through) raise :class:`UnsupportedCError` with a source location.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from pycparser import c_ast
 
@@ -1265,11 +1265,6 @@ def _append_offset(off: E.Offset, new: E.Offset) -> E.Offset:
         return E.Field(off.field, _append_offset(off.rest, new))
     assert isinstance(off, E.Index)
     return E.Index(off.index, _append_offset(off.rest, new))
-
-
-def _seq_blocks(body: S.Block, chain_is_else: S.Block) -> S.Block:
-    out = S.Block(list(body.stmts) + list(chain_is_else.stmts))
-    return out
 
 
 def _truth(e: E.Exp) -> E.Exp:

@@ -26,6 +26,7 @@ byte-identically across runs — the property the CI regression gate
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -196,22 +197,22 @@ def collect_workload_metrics(w, *, engine: str = "closures",
                              scale: Optional[int] = None,
                              timing: bool = False,
                              provenance: bool = False,
-                             temporal: bool = False,
-                             trace: Optional[list] = None
+                             temporal: bool = False
                              ) -> WorkloadMetrics:
     """Measure one workload raw + cured and assemble its metrics.
 
     Uses the bench harness's pristine parse/cure caches, so repeated
     collections (and collections sharing trees with benchmark tests)
-    pay the pipeline once.  With ``timing=True`` the tracer captures
-    per-phase wall seconds around the same calls; passing a ``trace``
-    list additionally accumulates the raw span records (for Chrome
-    trace export).  With ``provenance=True`` the cure records blame
-    provenance and the metrics carry per-state root-cause counts.
-    With ``temporal=True`` the workload is cured and run a second
-    time with lock-and-key liveness checking on, and the metrics
-    carry its CHECK_ALIVE counts and cycle overhead; the main columns
-    stay spatial-only, comparable against the committed baseline.
+    pay the pipeline once.  The run is one ``workload`` span; with
+    ``timing=True`` the tracer taps per-phase wall seconds around it
+    (:meth:`~repro.obs.tracer.Tracer.tap`, so a trace collected
+    around this call still sees every span).  With ``provenance=True``
+    the cure records blame provenance and the metrics carry per-state
+    root-cause counts.  With ``temporal=True`` the workload is cured
+    and run a second time with lock-and-key liveness checking on, and
+    the metrics carry its CHECK_ALIVE counts and cycle overhead; the
+    main columns stay spatial-only, comparable against the committed
+    baseline.
     """
     from repro.bench.harness import (cached_source, count_lines,
                                      pristine_cure, pristine_parse)
@@ -223,27 +224,16 @@ def collect_workload_metrics(w, *, engine: str = "closures",
                        optimize=optimize, provenance=provenance)
     args = list(w.args) or None
 
-    def _run() -> tuple:
-        prog = pristine_parse(w, scale)
-        cured = pristine_cure(w, options=opts, scale=scale)
-        raw_res = run_raw(prog, args=args, stdin=w.stdin,
-                          engine=engine)
-        hits: Counter[int] = Counter()
-        cured_res = run_cured(cured, args=args, stdin=w.stdin,
-                              engine=engine, site_hits=hits)
-        return cured, raw_res, cured_res, hits
-
-    phases: dict[str, float] = {}
-    if timing or trace is not None:
-        with TRACER.capture() as records:
-            with TRACER.span("workload", name=w.name):
-                cured, raw_res, cured_res, hits = _run()
-        if timing:
-            phases = phase_seconds_of(records)
-        if trace is not None:
-            trace.extend(records)
-    else:
-        cured, raw_res, cured_res, hits = _run()
+    with (TRACER.tap() if timing else nullcontext()) as records:
+        with TRACER.span("workload", name=w.name):
+            prog = pristine_parse(w, scale)
+            cured = pristine_cure(w, options=opts, scale=scale)
+            raw_res = run_raw(prog, args=args, stdin=w.stdin,
+                              engine=engine)
+            hits: Counter[int] = Counter()
+            cured_res = run_cured(cured, args=args, stdin=w.stdin,
+                                  engine=engine, site_hits=hits)
+    phases = phase_seconds_of(records) if timing else {}
 
     root_causes: Optional[dict[str, dict[str, int]]] = None
     if provenance:
@@ -317,24 +307,26 @@ def collect_metrics(workloads: Sequence, *, engine: str = "closures",
                     provenance: bool = False,
                     temporal: bool = False,
                     trace: Optional[list] = None,
-                    progress=None) -> MetricsReport:
+                    jobs=None, progress=None) -> MetricsReport:
     """Collect a :class:`MetricsReport` over ``workloads`` (ordered
-    by name, so reports are position-independent)."""
+    by name, so reports are position-independent), one shard per
+    workload across ``jobs`` workers.  ``trace`` collects every
+    shard's span records, merged onto this process's timeline."""
+    from repro.sweep.runner import on_shard, run_sharded
+    tasks = [("metrics", dict(name=w.name, engine=engine,
+                              optimize=optimize, scale=scale,
+                              timing=timing, provenance=provenance,
+                              temporal=temporal))
+             for w in sorted(workloads, key=lambda w: w.name)]
     report = MetricsReport(
         engine=engine,
         optimize=optimize if optimize is not None else "flow",
         scale=scale)
-    for w in sorted(workloads, key=lambda w: w.name):
-        wm = collect_workload_metrics(w, engine=engine,
-                                      optimize=optimize, scale=scale,
-                                      timing=timing,
-                                      provenance=provenance,
-                                      temporal=temporal,
-                                      trace=trace)
-        report.workloads.append(wm)
-        if progress is not None:
-            progress(f"{wm.name:>18}  ratio {wm.ccured_ratio:5.2f}x  "
-                     f"checks {wm.checks_executed}")
+    report.workloads = run_sharded(tasks, jobs, on_shard(
+        progress, lambda kw, wm: (f"{wm.name:>18}  ratio "
+                                  f"{wm.ccured_ratio:5.2f}x  "
+                                  f"checks {wm.checks_executed}")),
+        span_sink=trace)
     return report
 
 

@@ -168,6 +168,25 @@ class Tracer:
             self.records = prev_records
             self._stack = prev_stack
 
+    @contextmanager
+    def tap(self) -> Iterator[list[SpanRecord]]:
+        """Like :meth:`capture`, but an enclosing capture keeps every
+        record too: inside one, the yielded list is filled on exit with
+        the records the block added to it; outside one, this is
+        :meth:`capture`.  For measurements taken on the side (a
+        ``--timing`` phase table) that must not hide spans from a
+        trace being collected around them."""
+        if not self.enabled:
+            with self.capture() as records:
+                yield records
+            return
+        seen: list[SpanRecord] = []
+        start = len(self.records)
+        try:
+            yield seen
+        finally:
+            seen.extend(self.records[start:])
+
 
 #: the process-wide tracer every instrumented module reports to
 TRACER = Tracer()

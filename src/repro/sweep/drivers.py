@@ -1,12 +1,18 @@
-"""Sharded drivers for every sweep the CLI runs, plus the
+"""Sweep drivers with no home module — lint and analyze — plus the
 ``repro sweep`` matrix driver.
 
-Each ``sharded_*`` function is a drop-in replacement for its serial
-counterpart: with ``jobs`` ≤ 1 it *calls* the serial code, and with
-more jobs it distributes one task per workload across the pool and
-merges the per-shard results in the serial path's iteration order —
-so the serialized output is byte-identical either way (the property
-the CI determinism step ``cmp``'s).
+Every sweep is one list-level function that builds its per-workload
+task list, hands it to :func:`~repro.sweep.runner.run_sharded` and
+merges the results in task order.  Metrics, campaign, lint validation
+and profile sweeps live beside their per-workload code
+(:func:`repro.obs.metrics.collect_metrics`,
+:func:`repro.faults.campaign.run_campaign`,
+:func:`repro.faults.lintval.run_lint_validation`,
+:func:`repro.obs.profile.collect_profile`); the two here only map
+:mod:`repro.analysis`'s per-workload functions over a list.  None of them
+branches on ``jobs``: the runner alone picks the inline executor or
+the process pool, so the serialized output is byte-identical either
+way (the property the CI determinism steps ``cmp``).
 """
 
 from __future__ import annotations
@@ -16,57 +22,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.sweep.runner import resolve_jobs, run_sharded
+from repro.sweep.runner import on_shard, resolve_jobs, run_sharded
 
 Progress = Optional[Callable[[str], None]]
 
 
-def _fan_out(progress: Progress, fmt: Callable) -> Optional[Callable]:
-    if progress is None:
-        return None
-    return lambda kind, kwargs, result: progress(fmt(kwargs, result))
-
-
 # -- per-command drivers -----------------------------------------------------
-
-
-def sharded_metrics(workloads: Sequence, *, engine: str = "closures",
-                    optimize: Optional[str] = None,
-                    scale: Optional[int] = None,
-                    timing: bool = False, provenance: bool = False,
-                    temporal: bool = False,
-                    trace: Optional[list] = None,
-                    jobs=None, progress: Progress = None):
-    """A :class:`~repro.obs.metrics.MetricsReport` over ``workloads``,
-    sharded one workload per task.  ``trace`` collects the merged span
-    records — under ``jobs > 1`` each worker captures its own spans
-    (:func:`repro.sweep.runner.run_task_traced`) and the parent merges
-    them onto its timeline, so the trace covers every worker pid while
-    the report bytes stay identical to the serial path's."""
-    from repro.obs.metrics import MetricsReport, collect_metrics
-    n = resolve_jobs(jobs)
-    if n <= 1 or len(workloads) <= 1:
-        return collect_metrics(
-            workloads, engine=engine, optimize=optimize, scale=scale,
-            timing=timing, provenance=provenance, temporal=temporal,
-            trace=trace, progress=progress)
-    ordered = sorted(workloads, key=lambda w: w.name)
-    tasks = [("metrics", dict(name=w.name, engine=engine,
-                              optimize=optimize, scale=scale,
-                              timing=timing, provenance=provenance,
-                              temporal=temporal))
-             for w in ordered]
-    results = run_sharded(tasks, n, _fan_out(
-        progress, lambda kw, wm: (f"{wm.name:>18}  ratio "
-                                  f"{wm.ccured_ratio:5.2f}x  "
-                                  f"checks {wm.checks_executed}")),
-        span_sink=trace)
-    report = MetricsReport(
-        engine=engine,
-        optimize=optimize if optimize is not None else "flow",
-        scale=scale)
-    report.workloads = results
-    return report
 
 
 def sharded_lint(workloads: Sequence, *, optimize: str = "flow",
@@ -74,79 +35,11 @@ def sharded_lint(workloads: Sequence, *, optimize: str = "flow",
                  progress: Progress = None,
                  span_sink: Optional[list] = None) -> list:
     """Per-workload :class:`LintReport`s in input order."""
-    n = resolve_jobs(jobs)
-    if n <= 1 or len(workloads) <= 1:
-        from repro.analysis import lint_workload
-        reports = []
-        for w in workloads:
-            if progress is not None:
-                progress(f"linting {w.name}...")
-            reports.append(lint_workload(w, optimize=optimize,
-                                         scale=scale))
-        return reports
     tasks = [("lint", dict(name=w.name, optimize=optimize,
                            scale=scale)) for w in workloads]
-    return run_sharded(tasks, n, _fan_out(
+    return run_sharded(tasks, jobs, on_shard(
         progress, lambda kw, r: f"linted {kw['name']}"),
         span_sink=span_sink)
-
-
-def sharded_campaign(seed: int, campaign: str = "smoke", *,
-                     workloads: Optional[Sequence[str]] = None,
-                     classes: Optional[Sequence[str]] = None,
-                     scale: Optional[int] = None,
-                     optimize: Optional[str] = None,
-                     jobs=None, progress: Progress = None,
-                     span_sink: Optional[list] = None):
-    """A :class:`CampaignReport`, sharded one workload per task (every
-    mutation class of that workload runs in its shard).  Selection
-    errors surface before any worker starts, like the serial path."""
-    from repro.faults.campaign import CAMPAIGNS, run_campaign
-    from repro.faults.mutators import MUTATORS
-    from repro.workloads import all_workloads
-    n = resolve_jobs(jobs)
-    if n <= 1:
-        return run_campaign(seed, campaign, workloads=workloads,
-                            classes=classes, scale=scale,
-                            optimize=optimize, progress=progress)
-    if campaign not in CAMPAIGNS:
-        raise KeyError(f"unknown campaign {campaign!r} "
-                       f"(known: {', '.join(CAMPAIGNS)})")
-    if workloads is not None:
-        names: Sequence[str] = list(workloads)
-    else:
-        preset = CAMPAIGNS[campaign]
-        names = (preset if preset is not None
-                 else tuple(w.name for w in all_workloads()))
-    mclasses = tuple(classes) if classes is not None \
-        else tuple(MUTATORS)
-    for m in mclasses:
-        if m not in MUTATORS:
-            raise KeyError(f"unknown mutation class {m!r}")
-    from repro.faults.campaign import CampaignReport
-    from repro.workloads import get
-    for name in names:
-        get(name)                      # KeyError before the pool spins
-    tasks = [("campaign", dict(name=name, seed=seed,
-                               campaign=campaign,
-                               classes=list(mclasses), scale=scale,
-                               optimize=optimize))
-             for name in names]
-
-    def _note(kind, kwargs, variants):
-        if progress is None:
-            return
-        caught = sum(1 for v in variants if v.caught)
-        progress(f"{kwargs['name']:>18} {caught}/{len(variants)} "
-                 "caught")
-
-    results = run_sharded(tasks, n, _note if progress else None,
-                          span_sink=span_sink)
-    report = CampaignReport(seed=seed, campaign=campaign, scale=scale,
-                            classes=mclasses, optimize=optimize)
-    for variants in results:
-        report.variants.extend(variants)
-    return report
 
 
 def sharded_analyze(workloads: Sequence, *,
@@ -154,54 +47,11 @@ def sharded_analyze(workloads: Sequence, *,
                     progress: Progress = None,
                     span_sink: Optional[list] = None) -> list[dict]:
     """Per-workload ``repro analyze`` stats dicts in input order."""
-    n = resolve_jobs(jobs)
-    if n <= 1 or len(workloads) <= 1:
-        from repro.analysis import analyze_workload
-        out = []
-        for w in workloads:
-            out.append(analyze_workload(w, scale=scale))
-            if progress is not None:
-                progress(f"analyzed {w.name}")
-        return out
     tasks = [("analyze", dict(name=w.name, scale=scale))
              for w in workloads]
-    return run_sharded(tasks, n, _fan_out(
+    return run_sharded(tasks, jobs, on_shard(
         progress, lambda kw, r: f"analyzed {kw['name']}"),
         span_sink=span_sink)
-
-
-def sharded_lintval(seed: int = 1, *,
-                    workloads: Optional[Sequence] = None,
-                    classes: Optional[Sequence[str]] = None,
-                    optimize: str = "flow",
-                    scale: Optional[int] = None, jobs=None,
-                    progress: Progress = None):
-    """The lint-validation differential, sharded per workload."""
-    from repro.faults.lintval import (aggregate_validation,
-                                      run_lint_validation)
-    from repro.faults.mutators import MUTATORS
-    from repro.workloads import all_workloads
-    n = resolve_jobs(jobs)
-    if n <= 1:
-        return run_lint_validation(
-            seed, workloads=workloads, classes=classes,
-            optimize=optimize, scale=scale, progress=progress)
-    ws = list(workloads) if workloads is not None \
-        else list(all_workloads())
-    cs = list(classes) if classes is not None else list(MUTATORS)
-    tasks = [("lintval", dict(name=w.name, classes=cs, seed=seed,
-                              optimize=optimize, scale=scale))
-             for w in ws]
-
-    def _note(kind, kwargs, variants):
-        if progress is None:
-            return
-        hits = sum(1 for v in variants if v.hit)
-        progress(f"lintval {kwargs['name']}: {hits} hits")
-
-    results = run_sharded(tasks, n, _note if progress else None)
-    collected = [v for variants in results for v in variants]
-    return aggregate_validation(seed, optimize, cs, collected)
 
 
 # -- the full-matrix driver (`repro sweep`) ----------------------------------
@@ -308,7 +158,9 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
 
     from repro.analysis import reports_json
     from repro.cache import get_cache
+    from repro.faults.campaign import run_campaign
     from repro.faults.report import report_to_json
+    from repro.obs.metrics import collect_metrics
     from repro.obs.serialize import stable_dumps
     from repro.obs.tracer import TRACER
     from repro.workloads import all_workloads
@@ -334,12 +186,6 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
         if progress is not None:
             progress(line)
 
-    def tick(line: str) -> None:
-        if shard_progress is not None:
-            shard_progress(line)
-
-    shard_cb = None if shard_progress is None else tick
-
     def body() -> None:
         for target in targets:
             if target == "metrics":
@@ -349,10 +195,10 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
                         t0 = time.perf_counter()
                         with TRACER.span("dispatch", artifact=name,
                                          jobs=n):
-                            report = sharded_metrics(
+                            report = collect_metrics(
                                 ws, engine=engine, optimize=level,
                                 scale=scale, jobs=n, trace=trace,
-                                progress=shard_cb)
+                                progress=shard_progress)
                         dt = time.perf_counter() - t0
                         path = emit(name,
                                     stable_dumps(report.to_json()))
@@ -372,7 +218,7 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
                         reports = sharded_lint(
                             ws, optimize=level or "flow",
                             scale=scale, jobs=n, span_sink=trace,
-                            progress=shard_cb)
+                            progress=shard_progress)
                     dt = time.perf_counter() - t0
                     findings = sum(len(r.diagnostics)
                                    for r in reports)
@@ -387,10 +233,10 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
                     t0 = time.perf_counter()
                     with TRACER.span("dispatch", artifact=name,
                                      jobs=n):
-                        report = sharded_campaign(
+                        report = run_campaign(
                             seed, campaign, scale=scale,
                             optimize=level, jobs=n, span_sink=trace,
-                            progress=shard_cb)
+                            progress=shard_progress)
                     dt = time.perf_counter() - t0
                     path = emit(name, report_to_json(report))
                     summary.artifacts.append(SweepArtifact(
@@ -406,7 +252,7 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
                 with TRACER.span("dispatch", artifact=name, jobs=n):
                     stats = sharded_analyze(ws, scale=scale, jobs=n,
                                             span_sink=trace,
-                                            progress=shard_cb)
+                                            progress=shard_progress)
                 dt = time.perf_counter() - t0
                 text = _json.dumps(stats, indent=2,
                                    sort_keys=True) + "\n"
@@ -423,10 +269,10 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
     if trace is None:
         body()
     else:
-        # Parent-side spans (dispatch, serial-path pipeline work,
-        # cache traffic) record into the capture; worker spans arrive
-        # through the drivers' span sinks, rebased onto the same
-        # tracer epoch — one merged timeline.
+        # Parent-side ``dispatch`` spans record into the capture;
+        # every shard's spans (inline or pooled) arrive through the
+        # drivers' span sinks, rebased onto the same tracer epoch —
+        # one merged timeline.
         with TRACER.capture() as parent_records:
             body()
         trace.extend(parent_records)

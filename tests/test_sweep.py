@@ -13,10 +13,11 @@ import pytest
 
 from repro.cli import main
 from repro.obs.serialize import stable_dumps
-from repro.sweep import (resolve_jobs, run_sharded, run_sweep,
-                         sharded_analyze, sharded_campaign,
-                         sharded_lint, sharded_lintval,
-                         sharded_metrics)
+from repro.faults.campaign import run_campaign
+from repro.faults.lintval import run_lint_validation
+from repro.obs.metrics import collect_metrics
+from repro.sweep import (count_sweep_shards, resolve_jobs, run_sharded,
+                         run_sweep, sharded_analyze, sharded_lint)
 from repro.workloads import all_workloads, get
 
 SOME = sorted(all_workloads(), key=lambda w: w.name)[:4]
@@ -58,9 +59,8 @@ def test_run_sharded_propagates_worker_errors():
 
 
 def test_sharded_metrics_byte_identical():
-    from repro.obs.metrics import collect_metrics
     serial = stable_dumps(collect_metrics(SOME).to_json())
-    pooled = stable_dumps(sharded_metrics(SOME, jobs=2).to_json())
+    pooled = stable_dumps(collect_metrics(SOME, jobs=2).to_json())
     assert pooled == serial
 
 
@@ -72,25 +72,31 @@ def test_sharded_lint_byte_identical():
 
 
 def test_sharded_campaign_byte_identical():
-    from repro.faults.campaign import run_campaign
     from repro.faults.report import report_to_json
     names = ["olden_power", "ptrdist_anagram"]
     serial = report_to_json(run_campaign(
         11, "smoke", workloads=names, optimize="local"))
-    pooled = report_to_json(sharded_campaign(
+    pooled = report_to_json(run_campaign(
         11, "smoke", workloads=names, optimize="local", jobs=2))
     assert pooled == serial
 
 
-def test_sharded_campaign_rejects_unknown_selection():
-    with pytest.raises(KeyError):
-        sharded_campaign(1, "no-such-campaign", jobs=2)
-    with pytest.raises(KeyError):
-        sharded_campaign(1, "smoke", classes=["no-such-class"],
-                         jobs=2)
-    with pytest.raises(KeyError):
-        sharded_campaign(1, "smoke", workloads=["no-such-workload"],
-                         jobs=2)
+def test_sharded_campaign_rejects_unknown_selection(monkeypatch):
+    # every selection error surfaces before a single shard runs
+    import repro.sweep.runner as runner
+
+    def no_shards(*a, **kw):
+        raise AssertionError("a shard ran before selection was checked")
+    monkeypatch.setattr(runner, "run_sharded", no_shards)
+    for jobs in (1, 2):
+        with pytest.raises(KeyError):
+            run_campaign(1, "no-such-campaign", jobs=jobs)
+        with pytest.raises(KeyError):
+            run_campaign(1, "smoke", classes=["no-such-class"],
+                         jobs=jobs)
+        with pytest.raises(KeyError):
+            run_campaign(1, "smoke", workloads=["no-such-workload"],
+                         jobs=jobs)
 
 
 def test_sharded_analyze_byte_identical():
@@ -103,13 +109,43 @@ def test_sharded_analyze_byte_identical():
 
 
 def test_sharded_lintval_byte_identical():
-    from repro.faults.lintval import run_lint_validation
     ws = [get("olden_power"), get("ftpd")]
     cs = ["null-deref", "double-free"]
     serial = run_lint_validation(3, workloads=ws, classes=cs).dumps()
-    pooled = sharded_lintval(3, workloads=ws, classes=cs,
-                             jobs=2).dumps()
+    pooled = run_lint_validation(3, workloads=ws, classes=cs,
+                                 jobs=2).dumps()
     assert pooled == serial
+
+
+def test_analyze_workload_reads_the_pristine_cure():
+    """analyze reads the shared pristine cure in place: two calls
+    agree, and the cured tree prints the same before and after."""
+    from repro.analysis import analyze_workload
+    from repro.bench.harness import pristine_cure
+    from repro.core.options import CureOptions
+    w = get("olden_power")
+    pristine = pristine_cure(w, options=CureOptions(optimize="none"))
+    before = pristine.to_c()
+    first = analyze_workload(w)
+    assert analyze_workload(w) == first
+    assert pristine.to_c() == before
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_collect_metrics_trace_spans_equal_at_every_jobs(timing):
+    """The inline executor and the pool record the same spans, with
+    or without the --timing tap inside each shard."""
+    from collections import Counter
+    ws = SOME[:2]
+    collect_metrics(ws, timing=timing)      # warm the in-process memos
+    names = {}
+    for jobs in (1, 2):
+        sink: list = []
+        collect_metrics(ws, jobs=jobs, timing=timing, trace=sink)
+        names[jobs] = Counter(r.name for r in sink)
+    assert names[1] == names[2]
+    assert names[1]["shard"] == names[1]["workload"] == len(ws)
+    assert names[1]["exec"] >= 2 * len(ws)   # raw + cured per workload
 
 
 # -- the matrix driver -------------------------------------------------------
@@ -118,11 +154,18 @@ def test_sharded_lintval_byte_identical():
 def test_run_sweep_writes_deterministic_artifacts(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
+    targets = ("lint", "campaign")
+    shards = count_sweep_shards(targets=targets, engines=("closures",),
+                                levels=("flow",))
     for out, jobs in ((a, 1), (b, 2)):
-        summary = run_sweep(targets=("lint", "campaign"), jobs=jobs,
-                            out_dir=str(out))
+        ticks: list = []
+        summary = run_sweep(targets=targets, jobs=jobs,
+                            out_dir=str(out),
+                            shard_progress=ticks.append)
         assert summary.ok
         assert len(summary.artifacts) == 2
+        # --progress ticks once per shard, whichever executor runs it
+        assert len(ticks) == shards, jobs
     for name in ("lint-flow.json", "faults-smoke-flow.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -250,12 +293,12 @@ def test_sharded_metrics_traced_output_byte_identical():
     from repro.bench.harness import clear_program_cache
     ws = SOME[:3]
     sink: list = []
-    plain = sharded_metrics(ws, jobs=1)
+    plain = collect_metrics(ws, jobs=1)
     # cold in-process memos: the forked workers must really cure (the
     # disk cache answers, emitting cache spans), so the trace shows
     # the per-shard pipeline — while the report bytes cannot move
     clear_program_cache()
-    traced = sharded_metrics(ws, jobs=2, trace=sink)
+    traced = collect_metrics(ws, jobs=2, trace=sink)
     assert stable_dumps(plain.to_json()) \
         == stable_dumps(traced.to_json())
     names = {r.name for r in sink}
