@@ -13,12 +13,13 @@ function, the flow pass read-only via :func:`analyze_fundec`).
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 from typing import Optional, Sequence, Union
 
 from repro.cil import stmt as S
 from repro.cil.program import GFun, Program
 from repro.analysis.eliminate import analyze_fundec
+from repro.cache import private_copy
 from repro.core.curer import CuredProgram, cure
 from repro.core.optimize import _do_block
 from repro.core.options import CureOptions
@@ -42,7 +43,7 @@ def analyze_fundec_stats(fd: S.Fundec) -> dict:
     """CFG/fact/elimination statistics for one (unoptimized-level)
     function definition."""
     fa = analyze_fundec(fd)
-    scratch = copy.deepcopy(fd)
+    scratch = private_copy(fd)
     elided_local = _do_block(scratch.body)
     return {
         "function": fd.name,
@@ -75,9 +76,8 @@ def analyze_source(source: str, name: str = "program",
                    options: Optional[CureOptions] = None,
                    include_dirs: Optional[Sequence[str]] = None) -> dict:
     """Cure ``source`` at ``optimize="none"`` and analyze it."""
-    opts = copy.deepcopy(options) if options is not None \
-        else CureOptions()
-    opts.optimize = "none"
+    opts = dataclasses.replace(options or CureOptions(),
+                               optimize="none")
     cured = cure(source, options=opts, name=name,
                  include_dirs=include_dirs)
     return analyze_cured(cured)

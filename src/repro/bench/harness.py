@@ -10,31 +10,23 @@ For one workload the harness produces a :class:`BenchRow` containing:
 * cast census, trusted-cast and split statistics for the Section 3/5
   analyses.
 
-Every mode gets a *fresh tree* of the program: curing mutates the IR
-(check insertion, qualifier solving), so tools never share trees.
-Instead of re-parsing and re-curing per tool, the harness keeps a
-module-level cache of pristine parses and cures keyed by
-``(workload, scale)`` resp. ``(workload, scale, CureOptions)`` and
-deep-copies a cached tree on every use — same isolation, a fraction
-of the cost.  All measurements are deterministic (the cost model is
-exact), so a table regenerates identically on every run; the harness
-exploits the same determinism to memoize whole *measurements*: a
-``(workload, scale, engine, max_steps, tool, optimize-level,
-options)`` run (see :func:`_result_key` — the engine and the
-check-elimination level are always explicit in the key) yields the
-same ``(cycles, status, steps, stdout, checks)`` every time, so
-repeat requests across table tests are answered from
-``_RESULT_CACHE`` instead of re-interpreting the program.
-Executions themselves run on
-the pristine cached trees — interpretation never mutates the IR (the
-interpreter only stamps idempotent per-``Varinfo``/type caches), so
-no defensive copy is needed for a measurement, and the closure
-engine's per-``Fundec`` compilation is shared across every test.
+Trees come from one in-process memo keyed like the on-disk cure cache
+(:func:`~repro.cache.parse_key`/:func:`~repro.cache.cure_key`: the
+preprocessed source, the lint suppressions and, for a cure, the
+canonical options), so equivalent option spellings share one tree
+with the disk tier on or off.  Memoized trees are *pristine*: readers
+and executions share them (the interpreter only stamps idempotent
+per-``Varinfo``/type caches, so each ``Fundec``'s generated code is
+shared too), and a caller that mutates one (curing, a fault graft)
+takes a :func:`~repro.cache.private_copy` first.  Measurements are
+deterministic (the cost model is exact), so whole runs are memoized
+as well: a ``(workload, scale, engine, max_steps, tool, canonical
+options)`` run (see :func:`_result_key`) is answered from
+``_RESULT_CACHE`` after its first execution.
 """
 
 from __future__ import annotations
 
-import copy
 import difflib
 import math
 from dataclasses import dataclass, field
@@ -42,11 +34,13 @@ from typing import Iterable, Optional
 
 from repro.baselines import PurifyChecker, ValgrindChecker
 from repro.cache import (canonical_options, cure_key, get_cache,
-                         options_key as _options_key, parse_key)
+                         parse_key, private_copy)
 from repro.cil.program import Program
 from repro.core import CureOptions, CuredProgram, cure as _cure
 from repro.cpp import PreprocessError
+from repro.frontend import parse_preprocessed, preprocess_unit
 from repro.interp import ExecResult, run_cured, run_raw
+from repro.obs.tracer import TRACER
 from repro.runtime.checks import (CheckFailure, InterpreterLimitError,
                                   MemorySafetyError)
 from repro.workloads import Workload
@@ -112,25 +106,17 @@ def count_lines(source: str) -> int:
                if line.strip() and not line.strip().startswith("//"))
 
 
-# -- parse/cure cache --------------------------------------------------------
-#
-# Pristine trees keyed by workload identity; every use hands out a deep
-# copy, so a caller curing (mutating) its tree can never poison the
-# cache or a sibling tool's run.
+# -- parse/cure cache: pristine trees by content key (module docstring) ------
 
 _SOURCE_CACHE: dict[str, str] = {}
-_PARSE_CACHE: dict[tuple, Program] = {}
-_CURE_CACHE: dict[tuple, CuredProgram] = {}
-#: preprocessed text + lint suppressions per (workload, scale) — the
-#: content half of a disk-cache key (see :mod:`repro.cache.keys`)
+#: preprocessed text + lint suppressions per (workload, scale): the
+#: content half of a tree's key, and the only name-keyed memo
 _PP_CACHE: dict[tuple, tuple[str, tuple]] = {}
+#: pristine parses and cures by parse_key/cure_key
+_TREES: dict[str, object] = {}
 #: memoized measurements:
 #: key -> (cycles, status, steps, stdout, checks executed)
 _RESULT_CACHE: dict[tuple, tuple[int, int, int, str, int]] = {}
-
-# The canonical CureOptions identity lives in repro.cache.keys now
-# (imported above as _options_key): the in-process memoization and the
-# on-disk cure cache key options the same way by construction.
 
 
 def cached_source(w: Workload) -> str:
@@ -146,94 +132,70 @@ def _preprocessed(w: Workload,
                   scale: Optional[int]) -> tuple[str, tuple]:
     """The preprocessed source text and the lint-suppression set —
     exactly what :meth:`Workload.parse` would feed the C parser, and
-    therefore the content half of the workload's disk-cache key."""
+    therefore the content half of the workload's tree keys."""
     key = (w.name, scale if scale is not None else w.scale)
     got = _PP_CACHE.get(key)
     if got is None:
-        from repro.cpp.preprocessor import Preprocessor
         from repro.workloads import PROGRAM_DIR
-        pp = Preprocessor([PROGRAM_DIR], w._defines(scale))
-        text = pp.preprocess(cached_source(w),
-                             filename=w.name + ".c")
-        got = (text, tuple(sorted(pp.lint_suppressions)))
+        text, sup = preprocess_unit(cached_source(w), w.name + ".c",
+                                    [PROGRAM_DIR], w._defines(scale))
+        got = (text, tuple(sorted(sup)))
         _PP_CACHE[key] = got
     return got
+
+
+def _pristine(key: str, phase: str, name: str, build):
+    """The memoized tree under ``key``: from memory, else from the
+    disk cache (traced as a ``phase`` span with ``cached=True``), else
+    from ``build()``, which is then stored on disk."""
+    tree = _TREES.get(key)
+    if tree is None:
+        disk = get_cache()
+        if disk.enabled:
+            with TRACER.span(phase, name=name, cached=True):
+                tree = disk.load(key)
+        if tree is None:
+            tree = build()
+            disk.store(key, tree)
+        _TREES[key] = tree
+    return tree
 
 
 def pristine_parse(w: Workload,
                    scale: Optional[int] = None) -> Program:
     """The shared pristine parse — read/interpret only, never cure.
-
-    Backed by the content-addressed disk cache: a warm process skips
-    the preprocessor-to-lowering pipeline entirely and unpickles the
-    stored tree (traced as a ``parse`` span with ``cached=True``)."""
-    key = (w.name, scale if scale is not None else w.scale)
-    prog = _PARSE_CACHE.get(key)
-    if prog is None:
-        disk = get_cache()
-        dkey = None
-        if disk.enabled:
-            text, sup = _preprocessed(w, scale)
-            dkey = parse_key(text, sup, w.name)
-            from repro.obs.tracer import TRACER
-            with TRACER.span("parse", name=w.name, cached=True):
-                prog = disk.load(dkey)
-        if prog is None:
-            prog = w.parse(scale)
-            if dkey is not None:
-                disk.store(dkey, prog)
-        _PARSE_CACHE[key] = prog
-    return prog
+    A miss lowers the text :func:`_preprocessed` already holds."""
+    text, sup = _preprocessed(w, scale)
+    return _pristine(
+        parse_key(text, sup, w.name), "parse", w.name,
+        lambda: parse_preprocessed([(w.name + ".c", text, sup)],
+                                   w.name))
 
 
 def pristine_cure(w: Workload,
                   options: Optional[CureOptions] = None,
                   scale: Optional[int] = None) -> CuredProgram:
     """The shared pristine cure — read/interpret only, never mutate.
-
-    Backed by the content-addressed disk cache keyed on
-    ``hash(preprocessed source, canonical options, schema)``: a warm
-    process unpickles the cured tree instead of re-running
-    constraints/solve/instrument (traced as a ``cure`` span with
-    ``cached=True``)."""
-    key = (w.name, scale if scale is not None else w.scale,
-           _options_key(options))
-    cured = _CURE_CACHE.get(key)
-    if cured is None:
-        disk = get_cache()
-        dkey = None
-        if disk.enabled:
-            text, sup = _preprocessed(w, scale)
-            dkey = cure_key(
-                text, sup, w.name,
-                canonical_options(
-                    options, trust_bad_casts=w.trust_bad_casts))
-            from repro.obs.tracer import TRACER
-            with TRACER.span("cure", name=w.name, cached=True):
-                cured = disk.load(dkey)
-        if cured is None:
-            # Cure a copy of the cached parse: ``w.cure()`` would
-            # re-parse from scratch, and parsing dominates the cure
-            # pipeline.
-            opts = options if options is not None else CureOptions(
-                trust_bad_casts=w.trust_bad_casts)
-            cured = _cure(copy.deepcopy(pristine_parse(w, scale)),
-                          options=opts, name=w.name)
-            if dkey is not None:
-                disk.store(dkey, cured)
-        _CURE_CACHE[key] = cured
-    return cured
+    ``None`` options are the workload's defaults; a miss cures a
+    private copy of the pristine parse (cheaper than re-parsing)."""
+    text, sup = _preprocessed(w, scale)
+    opts = options if options is not None else CureOptions(
+        trust_bad_casts=w.trust_bad_casts)
+    return _pristine(
+        cure_key(text, sup, w.name, canonical_options(opts)), "cure",
+        w.name,
+        lambda: _cure(private_copy(pristine_parse(w, scale)),
+                      options=opts, name=w.name))
 
 
 def clear_program_cache() -> None:
-    """Drop all in-process cached parses/cures (tests poking at tree
-    internals).  The on-disk cure cache is untouched: a disk hit hands
-    back a freshly unpickled tree, which is exactly the isolation this
-    reset exists to restore."""
+    """Drop all in-process cached sources, trees and measurements
+    (tests poking at tree internals).  The on-disk cure cache is
+    untouched: a disk hit hands back a freshly unpickled tree, which
+    is exactly the isolation this reset exists to restore."""
     _SOURCE_CACHE.clear()
-    _PARSE_CACHE.clear()
-    _CURE_CACHE.clear()
     _PP_CACHE.clear()
+    _TREES.clear()
     _RESULT_CACHE.clear()
 
 
@@ -241,15 +203,13 @@ def _result_key(w: Workload, scale: Optional[int], engine: str,
                 max_steps: int, tool: str,
                 options: Optional[CureOptions]) -> tuple:
     """The memoization key of one measurement — every dimension that
-    can change the numbers, explicit in one place.  The engine name
-    and the check-elimination level are always present, so a
-    closures-vs-tree or a none/local/flow sweep can never reuse a
-    stale cached result; the full options identity rides along for
-    the remaining cure flags."""
-    level = (options.optimize_level if options is not None
-             else CureOptions().optimize_level)
+    can change the numbers.  The canonical options carry the
+    check-elimination level, so no sweep reuses a stale result, while
+    equivalent spellings share one measurement."""
     return (w.name, scale if scale is not None else w.scale,
-            engine, max_steps, tool, level, _options_key(options))
+            engine, max_steps, tool,
+            canonical_options(options,
+                              trust_bad_casts=w.trust_bad_casts))
 
 
 def _measure(key: tuple, tool: str, runner) -> ToolRun:
@@ -272,11 +232,16 @@ def run_workload(w: Workload, *,
     """Run one workload under raw + the requested tools."""
     src = cached_source(w)
     args = list(w.args) or None
-    raw = _measure(
-        _result_key(w, scale, engine, max_steps, "raw", None), "raw",
-        lambda: run_raw(pristine_parse(w, scale), args=args,
-                        stdin=w.stdin, max_steps=max_steps,
-                        engine=engine))
+
+    def uncured(tool: str, shadow=None) -> ToolRun:
+        return _measure(
+            _result_key(w, scale, engine, max_steps, tool, None), tool,
+            lambda: run_raw(pristine_parse(w, scale), args=args,
+                            stdin=w.stdin,
+                            shadow=shadow() if shadow else None,
+                            max_steps=max_steps, engine=engine))
+
+    raw = uncured("raw")
     cured = pristine_cure(w, options=options, scale=scale)
     row = BenchRow(
         name=w.name,
@@ -297,19 +262,9 @@ def run_workload(w: Workload, *,
                               max_steps=max_steps, engine=engine))
         _assert_same_behaviour(w.name, raw, row.ccured)
     if "purify" in tools:
-        row.purify = _measure(
-            _result_key(w, scale, engine, max_steps, "purify", None),
-            "purify",
-            lambda: run_raw(pristine_parse(w, scale), args=args,
-                            stdin=w.stdin, shadow=PurifyChecker(),
-                            max_steps=max_steps, engine=engine))
+        row.purify = uncured("purify", PurifyChecker)
     if "valgrind" in tools:
-        row.valgrind = _measure(
-            _result_key(w, scale, engine, max_steps, "valgrind",
-                        None), "valgrind",
-            lambda: run_raw(pristine_parse(w, scale), args=args,
-                            stdin=w.stdin, shadow=ValgrindChecker(),
-                            max_steps=max_steps, engine=engine))
+        row.valgrind = uncured("valgrind", ValgrindChecker)
     return row
 
 

@@ -13,18 +13,18 @@ invalidates exactly the entries it affects and nothing else.
 
 :mod:`.keys` derives the content hashes; :mod:`.store` owns the
 on-disk layout, the atomic writers, the corrupt-entry recovery and the
-hit/miss counters behind ``repro cache stats``.
+hit/miss counters behind ``repro cache stats``, plus
+:func:`~repro.cache.store.private_copy`, the one way to copy a tree.
 """
 
 from repro.cache.keys import (CACHE_SCHEMA, canonical_options,
-                              code_fingerprint, cure_key, options_key,
-                              parse_key)
+                              code_fingerprint, cure_key, parse_key)
 from repro.cache.store import (CacheStats, CureCache, cache_enabled,
-                               default_root, get_cache)
+                               default_root, get_cache, private_copy)
 
 __all__ = [
     "CACHE_SCHEMA", "canonical_options", "code_fingerprint",
-    "cure_key", "options_key", "parse_key",
+    "cure_key", "parse_key",
     "CacheStats", "CureCache", "cache_enabled", "default_root",
-    "get_cache",
+    "get_cache", "private_copy",
 ]

@@ -11,9 +11,10 @@ cured tree:
   separately or a comment-only edit would silently reuse a stale
   lint-relevant tree;
 * the canonicalized :class:`~repro.core.options.CureOptions` (for cure
-  entries) — the same canonical tuple the bench harness keys its
-  in-process memoization on, so equivalent spellings
-  (``optimize_checks=False`` vs ``optimize="none"``) share an entry;
+  entries) — equivalent spellings (``optimize_checks=False`` vs
+  ``optimize="none"``) share an entry.  The bench harness keys its
+  in-process tree memo and its measurements on the same identities,
+  so memory and disk never disagree about which trees are equal;
 * the :data:`CACHE_SCHEMA` version plus a fingerprint of the
   reproduction's own source code — any edit to the pipeline
   invalidates every entry, so a cached tree can never disagree with
@@ -33,16 +34,15 @@ from repro.core.options import CureOptions
 CACHE_SCHEMA = "repro.cache/1"
 
 
-def options_key(options: Optional[CureOptions]) -> Optional[tuple]:
-    """A hashable identity for a :class:`CureOptions` (sets become
-    sorted tuples).  ``None`` stays ``None``: callers that treat the
-    absence of options as "the workload's own defaults" keep that
-    distinction.  The ``optimize``/``optimize_checks`` pair is folded
-    into the single canonical level entry, so equivalent spellings
-    share one identity and an optimization sweep can never reuse a
-    program cured at another level."""
+def canonical_options(options: Optional[CureOptions], *,
+                      trust_bad_casts: bool = False) -> tuple:
+    """The hashable identity of the *effective* options (sets become
+    sorted tuples).  ``None`` is resolved to the defaults a workload
+    cure would actually use, and the ``optimize``/``optimize_checks``
+    pair is folded into one level entry, so equivalent spellings share
+    one identity while different levels never do."""
     if options is None:
-        return None
+        options = CureOptions(trust_bad_casts=trust_bad_casts)
     parts = []
     for fld in _dc_fields(options):
         if fld.name in ("optimize", "optimize_checks"):
@@ -53,19 +53,6 @@ def options_key(options: Optional[CureOptions]) -> Optional[tuple]:
         parts.append((fld.name, v))
     parts.append(("optimize", options.optimize_level))
     return tuple(parts)
-
-
-def canonical_options(options: Optional[CureOptions], *,
-                      trust_bad_casts: bool = False) -> tuple:
-    """The canonical identity of the *effective* options: ``None`` is
-    resolved to the defaults a workload cure would actually use, so
-    ``pristine_cure(w)`` and ``pristine_cure(w, CureOptions(
-    trust_bad_casts=w.trust_bad_casts))`` address the same entry."""
-    if options is None:
-        options = CureOptions(trust_bad_casts=trust_bad_casts)
-    key = options_key(options)
-    assert key is not None
-    return key
 
 
 _CODE_FP: Optional[str] = None

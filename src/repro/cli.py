@@ -61,7 +61,10 @@ The exit status of ``run`` is the program's exit status; memory-safety
 failures exit with status 99 after printing the check that fired,
 mirroring how a cured binary aborts with a check message, and an
 interpreter limit (step budget, output size, call depth) exits with
-98.  Either way the output printed before the stop comes first.
+98.  Either way the output printed before the stop comes first.  A C
+file the front end rejects (unsupported C, a syntax error, a missing
+header) ends any command with one ``file:line[:col]: error: ...``
+line on stderr and exit status 97.
 """
 
 from __future__ import annotations
@@ -70,9 +73,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from pycparser.c_parser import ParseError
+
 from repro.core import CureOptions, cure
 from repro.core.options import OPTIMIZE_LEVELS
-from repro.frontend import parse_program
+from repro.cpp import PreprocessError
+from repro.frontend import UnsupportedCError, parse_program
 from repro.interp import ENGINES, run_cured, run_raw
 from repro.runtime.checks import (InterpreterLimitError,
                                   MemorySafetyError, ProgramAbort,
@@ -81,6 +87,9 @@ from repro.runtime.checks import (InterpreterLimitError,
 SAFETY_EXIT = 99
 #: the run hit an interpreter limit (steps, stdout size, call depth)
 LIMIT_EXIT = 98
+#: the front end rejected the C file (unsupported C, a syntax error,
+#: a preprocessing failure such as a missing header)
+FRONTEND_EXIT = 97
 
 
 def _read_source(path: str) -> str:
@@ -1190,7 +1199,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (UnsupportedCError, ParseError, PreprocessError) as exc:
+        # PreprocessError and pycparser's ParseError read
+        # "file:line[:col]: message"
+        where, _, msg = str(exc).partition(": ")
+        if isinstance(exc, UnsupportedCError):
+            where = exc.location or getattr(args, "file", "<input>")
+            msg = exc.message
+        print(f"{where}: error: {msg}", file=sys.stderr)
+        return FRONTEND_EXIT
 
 
 if __name__ == "__main__":

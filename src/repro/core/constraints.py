@@ -22,6 +22,7 @@ by-products.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.cil import expr as E
@@ -134,10 +135,14 @@ def _mark_interfaces(an: Analysis) -> None:
 
 
 def _apply_pragmas(an: Analysis) -> None:
-    for g in an.prog.pragmas("ccuredSplit"):
-        an.options.split_roots.update(g.args)
-    for g in an.prog.pragmas("ccuredWild"):
-        an.options.wild_roots.update(g.args)
+    # the program's roots join a copy: the caller's options (a memo
+    # key, perhaps shared by several cures) stay as they were given
+    an.options = dataclasses.replace(
+        an.options,
+        split_roots=an.options.split_roots.union(
+            *(g.args for g in an.prog.pragmas("ccuredSplit"))),
+        wild_roots=an.options.wild_roots.union(
+            *(g.args for g in an.prog.pragmas("ccuredWild"))))
     if an.options.wild_roots:
         targets = an.options.wild_roots
         for t, where in type_occurrences(an.prog):

@@ -183,7 +183,8 @@ class Preprocessor:
     # -- include resolution ---------------------------------------------
 
     def resolve_include(self, name: str, quoted: bool,
-                        current_dir: Optional[str]) -> str:
+                        current_dir: Optional[str],
+                        filename: str, lineno: int) -> str:
         dirs: list[str] = []
         if quoted and current_dir:
             dirs.append(current_dir)
@@ -193,7 +194,8 @@ class Preprocessor:
             path = os.path.join(d, name)
             if os.path.isfile(path):
                 return path
-        raise PreprocessError(f"include not found: {name}")
+        raise PreprocessError(f"include not found: {name}", filename,
+                              lineno)
 
     # -- macro expansion ---------------------------------------------------
 
@@ -433,7 +435,8 @@ class Preprocessor:
         if self._include_depth >= self.MAX_INCLUDE_DEPTH:
             raise PreprocessError("includes nested too deeply", filename,
                                   lineno)
-        path = self.resolve_include(incname, quoted, current_dir)
+        path = self.resolve_include(incname, quoted, current_dir,
+                                    filename, lineno)
         with open(path, "r", encoding="utf-8") as f:
             body = f.read()
         self._include_depth += 1

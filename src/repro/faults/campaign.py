@@ -18,11 +18,11 @@ expected class.  Reports are deterministic: same seed, same campaign
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.bench.harness import pristine_parse
+from repro.cache import private_copy
 from repro.core import CureOptions, cure
 from repro.faults.mutators import MUTATORS, FaultSpec, graft, make_variant
 from repro.interp import run_cured, run_raw
@@ -175,9 +175,9 @@ def run_variant(w: Workload, spec: FaultSpec, *,
         expected=spec.expected.__name__,
         description=spec.description, params=dict(spec.params))
 
-    base = copy.deepcopy(pristine_parse(w, scale))
+    base = private_copy(pristine_parse(w, scale))
     graft(base, spec, name=f"{w.name}+{spec.mclass}")
-    raw_prog = copy.deepcopy(base)
+    raw_prog = private_copy(base)
     # Variants always cure with default options (modulo the
     # elimination level): trusting the workload's bad casts
     # (bind_like) would also trust the *injected* evil casts and

@@ -19,12 +19,12 @@ comparison, not a heuristic.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.analysis.lint import lint_cured
 from repro.bench.harness import pristine_parse
+from repro.cache import private_copy
 from repro.core import CureOptions, cure
 from repro.faults.mutators import MUTATORS, graft, make_variant
 from repro.obs.serialize import stable_dumps
@@ -168,7 +168,7 @@ def lint_variant(w: Workload, mclass: str, seed: int, *,
     """Graft one campaign variant (exactly as the dynamic campaign
     does), cure it, lint it, and score the findings by file."""
     spec = make_variant(w.name, mclass, seed)
-    base = copy.deepcopy(pristine_parse(w, scale))
+    base = private_copy(pristine_parse(w, scale))
     name = f"{w.name}+{spec.mclass}"
     graft(base, spec, name=name)
     cured = cure(base,

@@ -5,16 +5,17 @@ The whole-program entry points here produce a single
 which is the unit CCured's whole-program inference operates on.
 """
 
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from pycparser import c_parser
 
 from repro.cil.program import Program
 from repro.cpp import Preprocessor
 from repro.frontend.lower import Lowerer, UnsupportedCError, fresh_type
+from repro.obs.tracer import TRACER
 
-__all__ = ["parse_program", "parse_files", "Lowerer",
-           "UnsupportedCError", "fresh_type"]
+__all__ = ["parse_program", "parse_files", "parse_preprocessed",
+           "preprocess_unit", "Lowerer", "UnsupportedCError", "fresh_type"]
 
 
 def parse_program(source: str, name: str = "program",
@@ -33,18 +34,35 @@ def parse_files(sources: Sequence[tuple[str, str]], name: str = "program",
                 defines: Optional[Mapping[str, str]] = None) -> Program:
     """Parse and link several ``(filename, source)`` translation units
     into one whole program, as CCured's whole-program analysis requires."""
-    from repro.obs.tracer import TRACER
-    with TRACER.span("parse", name=name, files=len(sources)):
+    return parse_preprocessed(
+        ((filename,
+          *preprocess_unit(source, filename, include_dirs, defines))
+         for filename, source in sources), name, files=len(sources))
+
+
+def preprocess_unit(source: str, filename: str,
+                    include_dirs: Optional[Sequence[str]] = None,
+                    defines: Optional[Mapping[str, str]] = None):
+    """Preprocess one translation unit (a ``preprocess`` span) into
+    its text and its lint suppressions."""
+    with TRACER.span("preprocess", file=filename):
+        pp = Preprocessor(include_dirs, defines)
+        return pp.preprocess(source, filename=filename), \
+            pp.lint_suppressions
+
+
+def parse_preprocessed(units: Iterable[tuple[str, str, Iterable]],
+                       name: str = "program", files: int = 1) -> Program:
+    """Parse and lower ``(filename, text, lint suppressions)`` units
+    into one whole program under one ``parse`` span; ``units`` is
+    consumed lazily, so :func:`parse_files` preprocesses inside it."""
+    with TRACER.span("parse", name=name, files=files):
         lowerer = Lowerer(name=name)
         parser = c_parser.CParser()
-        for filename, source in sources:
-            with TRACER.span("preprocess", file=filename):
-                pp = Preprocessor(include_dirs, defines)
-                text = pp.preprocess(source, filename=filename)
-            lowerer.prog.lint_suppressions |= pp.lint_suppressions
+        for filename, text, suppressions in units:
+            lowerer.prog.lint_suppressions.update(suppressions)
             # pycparser chokes on #pragma lines at certain positions
             # only if malformed; ours are kept verbatim and parsed as
             # Pragma nodes.
-            ast = parser.parse(text, filename=filename)
-            lowerer.lower_file(ast)
+            lowerer.lower_file(parser.parse(text, filename=filename))
         return lowerer.prog

@@ -40,6 +40,8 @@ class UnsupportedCError(Exception):
 
     def __init__(self, message: str, node: Optional[c_ast.Node] = None):
         coord = getattr(node, "coord", None)
+        self.message = message
+        self.location = str(coord) if coord else None  # file:line[:col]
         where = f" at {coord}" if coord else ""
         super().__init__(message + where)
 

@@ -26,7 +26,6 @@ dependent, so those phases ride in the timing section only.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -145,6 +144,7 @@ def profile_workload(w, *, engine: str = "closures",
     (constraints/solve/split/instrument/optimize/dataflow), then one
     raw and one cured execution on the selected engine — so the counts
     are a pure function of the program and the options."""
+    from repro.cache import private_copy
     from repro.core import CureOptions, cure as _cure
     from repro.interp import run_cured, run_raw
 
@@ -154,7 +154,7 @@ def profile_workload(w, *, engine: str = "closures",
     with TRACER.capture() as records:
         with TRACER.span("workload", name=w.name):
             prog = w.parse(scale)
-            cured = _cure(copy.deepcopy(prog), options=opts,
+            cured = _cure(private_copy(prog), options=opts,
                           name=w.name)
             run_raw(prog, args=args, stdin=w.stdin, engine=engine)
             run_cured(cured, args=args, stdin=w.stdin, engine=engine)

@@ -91,17 +91,16 @@ class TestHarness:
     def test_options_key_distinguishes_optimize_levels(self):
         # A ``--optimize=none|local|flow`` sweep must never reuse a
         # program cured at another level…
-        from repro.bench.harness import _options_key
+        from repro.cache import canonical_options
         from repro.core import CureOptions
-        keys = {lvl: _options_key(CureOptions(optimize=lvl))
+        keys = {lvl: canonical_options(CureOptions(optimize=lvl))
                 for lvl in ("none", "local", "flow")}
         assert len(set(keys.values())) == 3
         # …while equivalent spellings share one cache entry.
-        assert _options_key(CureOptions()) == \
-            _options_key(CureOptions(optimize="flow"))
-        assert _options_key(CureOptions(optimize_checks=False)) == \
-            _options_key(CureOptions(optimize="none"))
-        assert _options_key(None) is None
+        assert canonical_options(CureOptions()) == \
+            canonical_options(CureOptions(optimize="flow"))
+        assert canonical_options(CureOptions(optimize_checks=False)) == \
+            canonical_options(CureOptions(optimize="none"))
 
     def test_result_key_includes_engine_and_level(self):
         # Memoized measurements must be keyed by engine AND optimize

@@ -15,7 +15,7 @@ import pytest
 from repro.bench.harness import clear_program_cache, pristine_cure, \
     pristine_parse
 from repro.cache import (CACHE_SCHEMA, canonical_options, cure_key,
-                         get_cache, options_key, parse_key)
+                         get_cache, parse_key)
 from repro.core import CureOptions
 from repro.workloads import get
 
@@ -74,8 +74,8 @@ def test_key_changes_with_schema():
 def test_options_key_canonicalizes_optimize_aliases():
     # optimize/optimize_checks fold into one canonical level entry:
     # the historical spelling and the level spelling share a key.
-    assert options_key(CureOptions(optimize_checks=False)) \
-        == options_key(CureOptions(optimize="none"))
+    assert canonical_options(CureOptions(optimize_checks=False)) \
+        == canonical_options(CureOptions(optimize="none"))
 
 
 # -- hits are byte-identical -------------------------------------------------
@@ -129,6 +129,69 @@ def test_cache_clear_resets_everything(fresh_cache):
     assert removed == 2
     s = fresh_cache.stats()
     assert (s.entries, s.hits, s.misses, s.stores) == (0, 0, 0, 0)
+
+
+# -- the in-process memo ----------------------------------------------------
+
+
+def test_parse_miss_preprocesses_once(fresh_cache, monkeypatch):
+    from repro.cpp.preprocessor import Preprocessor
+    real = Preprocessor.preprocess
+    calls = []
+
+    def counting(self, source, filename="<input>"):
+        if filename == W + ".c":      # not the recursive #include calls
+            calls.append(filename)
+        return real(self, source, filename)
+
+    monkeypatch.setattr(Preprocessor, "preprocess", counting)
+    pristine_parse(get(W))
+    assert calls == [W + ".c"]
+    assert fresh_cache.session.stores == 1
+
+
+def test_equivalent_options_share_one_tree_and_one_measurement(
+        fresh_cache, monkeypatch):
+    import repro.bench.harness as harness
+    w = get("bind_like")              # its defaults trust bad casts
+    spelled = CureOptions(trust_bad_casts=w.trust_bad_casts)
+    assert pristine_cure(w) is pristine_cure(w, spelled)
+    runs = []
+    real = harness.run_cured
+    monkeypatch.setattr(harness, "run_cured",
+                        lambda *a, **kw: runs.append(1) or real(*a, **kw))
+    first = harness.run_workload(w)
+    second = harness.run_workload(w, options=spelled)
+    assert len(runs) == 1
+    assert second.ccured == first.ccured
+
+
+def test_memo_without_disk_tier(tmp_path, monkeypatch):
+    w = get(W)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    clear_program_cache()
+    off = pristine_cure(w)
+    assert pristine_cure(w) is off
+    assert pristine_parse(w) is pristine_parse(w)
+    monkeypatch.delenv("REPRO_CACHE")
+    clear_program_cache()
+    cached = pristine_cure(w)
+    assert cached is not off
+    assert cached.to_c() == off.to_c()
+    clear_program_cache()
+
+
+def test_curing_a_private_copy_leaves_the_pristine_parse(fresh_cache):
+    from repro.cache import private_copy
+    from repro.cil.printer import program_to_c
+    from repro.core import cure
+    prog = pristine_parse(get(W))
+    before = program_to_c(prog)
+    cured = cure(private_copy(prog), name=W)
+    assert cured.prog is not prog
+    assert program_to_c(prog) == before
+    assert cured.to_c() == pristine_cure(get(W)).to_c()
 
 
 # -- robustness --------------------------------------------------------------

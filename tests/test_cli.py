@@ -1,8 +1,13 @@
 """Tests for the command-line driver."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import LIMIT_EXIT, SAFETY_EXIT, main
+import repro
+from repro.cli import FRONTEND_EXIT, LIMIT_EXIT, SAFETY_EXIT, main
 
 HELLO = r'''
 #include <stdio.h>
@@ -128,6 +133,30 @@ class TestRun:
         p = tmp_path / "seven.c"
         p.write_text("int main(void) { return 7; }")
         assert main(["run", str(p)]) == 7
+
+    @pytest.mark.parametrize("source,where,message", [
+        ("int main(void) {\n  int x = 0;\n again:\n  x++;\n"
+         "  if (x < 3) goto again;\n  return x;\n}\n",
+         ":3:2", "goto/labels"),
+        ("int main(void) {\n  int x = 1\n  return x;\n}\n",
+         ":3:3", "before: return"),
+        ('#include <stdio.h>\n#include "nope.h"\n'
+         "int main(void) { return 0; }\n",
+         ":2", "include not found: nope.h"),
+    ], ids=["goto", "syntax", "missing-include"])
+    def test_front_end_failure_is_one_located_line(
+            self, tmp_path, source, where, message):
+        p = tmp_path / "bad.c"
+        p.write_text(source)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(p)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == FRONTEND_EXIT == 97
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"{p}{where}: error: {message}\n"
+        assert proc.stdout == ""
 
 
 class TestAnalyze:

@@ -186,6 +186,20 @@ class TestIncludesAndPragmas:
         with pytest.raises(PreprocessError):
             preprocess('#include "no_such_file.h"\n')
 
+    def test_missing_include_names_the_including_line(self, tmp_path):
+        # the error points at the #include, in the including file
+        inner = tmp_path / "inner.h"
+        inner.write_text('int a;\n#include "nope.h"\n')
+        with pytest.raises(PreprocessError) as err:
+            preprocess('int x;\n\n#include "inner.h"\n',
+                       filename="main.c", include_dirs=[str(tmp_path)])
+        assert str(err.value) == \
+            f"{inner}:2: include not found: nope.h"
+        assert (err.value.filename, err.value.line) == (str(inner), 2)
+        with pytest.raises(PreprocessError,
+                           match=r"^main\.c:2: include not found: x\.h$"):
+            preprocess('int x;\n#include <x.h>\n', filename="main.c")
+
     def test_include_dirs(self, tmp_path):
         (tmp_path / "mine.h").write_text("int mine;\n")
         out = preprocess('#include "mine.h"\n',

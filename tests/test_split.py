@@ -188,6 +188,11 @@ class TestSplitInference:
         """
         c = cure(src, name="pragma_split")
         assert any(n.split for n in c.analysis.decl_nodes)
+        # the pragma's root joins the cure's options, not the caller's
+        opts = CureOptions()
+        c = cure(src, options=opts, name="pragma_split")
+        assert c.options.split_roots == {"h1"}
+        assert opts.split_roots == set()
 
 
 class TestLibraryCompatibility:
